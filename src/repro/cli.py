@@ -17,6 +17,7 @@ advise               price every send scheme for a layout, recommend one
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -44,6 +45,24 @@ def _executor_from(args: argparse.Namespace) -> Executor | None:
     cache = None if args.no_cache else ResultStore()
     return Executor(jobs=args.jobs, cache=cache,
                     chunk_size=getattr(args, "chunk_size", None))
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _default_jobs() -> int:
+    """One worker per CPU this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _progress(scheme: str, size: int, time: float) -> None:
@@ -487,11 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("platforms", help="list calibrated platforms").set_defaults(fn=cmd_platforms)
     sub.add_parser("schemes", help="list the eight send schemes").set_defaults(fn=cmd_schemes)
 
+    jobs = _default_jobs()
+
     def add_exec_options(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                       help="run cells on N worker processes (default 1: serial; "
-                            "results are bit-identical either way)")
-        p.add_argument("--chunk-size", type=int, default=None, metavar="CELLS",
+        p.add_argument("--jobs", "-j", type=_positive_int, default=jobs, metavar="N",
+                       help=f"run cells on N worker processes, one pool for the "
+                            f"whole command (default {jobs}: one per CPU; 1 runs "
+                            f"serially; results are bit-identical either way)")
+        p.add_argument("--chunk-size", type=_positive_int, default=None, metavar="CELLS",
                        help="cells per worker task under --jobs (default: sized "
                             "automatically; chunking never changes results)")
         p.add_argument("--no-cache", action="store_true",
@@ -637,9 +659,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8642,
                    help="listening port (0 picks a free one; the bound URL "
                         "is printed on startup)")
-    p.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
-                   help="worker processes per job batch (as in 'sweep --jobs')")
-    p.add_argument("--chunk-size", type=int, default=None, metavar="CELLS",
+    p.add_argument("--jobs", "-j", type=_positive_int, default=jobs, metavar="N",
+                   help=f"worker processes, one pool shared by every job "
+                        f"(default {jobs}: one per CPU; 1 runs serially)")
+    p.add_argument("--chunk-size", type=_positive_int, default=None, metavar="CELLS",
                    help="cells per worker task under --jobs")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without the on-disk result store (in-flight "
@@ -650,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-store-bytes", type=int, default=None, metavar="BYTES",
                    help="bound the store size; least-recently-used cells are "
                         "evicted past it (in-flight digests are never evicted)")
-    p.add_argument("--max-jobs", type=int, default=4, metavar="N",
+    p.add_argument("--max-jobs", type=_positive_int, default=4, metavar="N",
                    help="sweep jobs allowed to execute concurrently (default 4)")
     p.set_defaults(fn=cmd_serve)
 
@@ -749,6 +772,8 @@ def main(argv: list[str] | None = None) -> int:
                   file=sys.stderr)
         return 130
     finally:
+        if executor is not None:
+            executor.close()
         if host_trace:
             _write_host_trace(host_trace)
 

@@ -9,7 +9,7 @@ construction (see ``docs/execution.md`` for the determinism argument
 and cache-invalidation rules).
 """
 
-from .executor import Executor, current_executor, using_executor
+from .executor import Executor, WorkerPool, current_executor, using_executor
 from .spec import CellOutcome, CellSpec, execute_spec
 from .store import ResultStore, StoreStats, default_cache_dir
 
@@ -18,6 +18,7 @@ __all__ = [
     "CellOutcome",
     "execute_spec",
     "Executor",
+    "WorkerPool",
     "current_executor",
     "using_executor",
     "ResultStore",

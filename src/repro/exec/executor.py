@@ -6,15 +6,16 @@ bit-identical:
 
 * **serially** (``jobs=1``, the default) — in-process, cell by cell,
   exactly the pre-split double loop;
-* **in parallel** (``jobs=N``) — fanned out over a
-  ``ProcessPoolExecutor`` in *chunks* of many cells per worker task.
-  Cells are pure functions of their specs (deterministic kernel,
-  per-cell noise seeding), so worker placement, chunking, and
-  completion order cannot affect any result.  The heavy shared state
-  (platform pricing models, timing policies) ships **once per worker**
-  through the pool initializer; each task then carries only slim
-  per-cell payloads (scheme key, layout, table indices), so dispatch
-  cost is amortized over the whole chunk instead of paid per cell;
+* **in parallel** (``jobs=N``) — fanned out over a :class:`WorkerPool`
+  in *chunks* of many cells per worker task.  Cells are pure functions
+  of their specs (deterministic kernel, per-cell noise seeding), so
+  worker placement, chunking, and completion order cannot affect any
+  result.  The pool is forked at the first batch that needs it and
+  reused by every later batch of the command (or daemon) until
+  :meth:`Executor.close`.  Each chunk carries the batch's shared tables
+  (platform pricing models, timing policies) once, plus slim per-cell
+  payloads (scheme key, layout, table indices), so dispatch cost is
+  amortized over the whole chunk instead of paid per cell;
 * **from cache** — when a :class:`~repro.exec.store.ResultStore` is
   attached, hits skip execution entirely and misses are persisted the
   moment they complete, making interrupted batches resumable.
@@ -34,12 +35,15 @@ ask for the ambient executor unless handed one explicitly.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import signal
+import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
-
-import os
 
 from ..core.layout import Layout
 from ..core.pingpong import PingPongResult
@@ -50,7 +54,7 @@ from ..obs import host as _host
 from .spec import CellOutcome, CellSpec, execute_spec
 from .store import ResultStore
 
-__all__ = ["Executor", "current_executor", "using_executor"]
+__all__ = ["Executor", "WorkerPool", "current_executor", "using_executor"]
 
 #: ``on_result`` callback: (index into the batch, finished cell).
 OnResult = Callable[[int, PingPongResult], None]
@@ -64,46 +68,69 @@ OnOutcome = Callable[[int, CellOutcome, bool], None]
 _CHUNK_WAVES = 4
 
 
-def _pool(
-    jobs: int,
-    initializer: Callable[..., None] | None = None,
-    initargs: tuple = (),
-) -> ProcessPoolExecutor:
-    """A worker pool; forked where available so workers inherit the
-    already-imported simulator instead of re-importing numpy per spawn."""
-    import multiprocessing
+def _ignore_sigint() -> None:
+    """Worker initializer: Ctrl-C belongs to the parent, which cancels
+    queued chunks and joins the workers; an idle worker must not die of
+    it on its own."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
-    if "fork" in multiprocessing.get_all_start_methods():
-        return ProcessPoolExecutor(
-            max_workers=jobs,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=initializer,
-            initargs=initargs,
-        )
-    return ProcessPoolExecutor(
-        max_workers=jobs, initializer=initializer, initargs=initargs
+
+def _fork_pool(jobs: int) -> ProcessPoolExecutor:
+    """A process pool, forked where available so workers inherit the
+    already-imported simulator instead of re-importing numpy per spawn."""
+    context = (
+        multiprocessing.get_context("fork")
+        if "fork" in multiprocessing.get_all_start_methods()
+        else None
     )
+    return ProcessPoolExecutor(
+        max_workers=jobs, mp_context=context, initializer=_ignore_sigint
+    )
+
+
+class WorkerPool:
+    """The worker processes behind every parallel batch of one command
+    or daemon.
+
+    Forked lazily by the first submission, then reused by every later
+    one, from any thread (the serve daemon's concurrent jobs share one
+    pool).  A pool broken by a dead worker is replaced at the next
+    submission.  :meth:`close` joins the workers.
+    """
+
+    def __init__(self, jobs: int):
+        if jobs < 1:
+            raise ValueError("jobs must be >= 1")
+        self.jobs = jobs
+        self._lock = threading.Lock()
+        self._pool: ProcessPoolExecutor | None = None
+
+    def submit(self, fn: Callable[..., Any], /, *args: Any) -> Future:
+        with self._lock:
+            if self._pool is not None:
+                try:
+                    return self._pool.submit(fn, *args)
+                except BrokenProcessPool:
+                    self._pool.shutdown(wait=True)
+            self._pool = _fork_pool(self.jobs)
+            return self._pool.submit(fn, *args)
+
+    def close(self) -> None:
+        """Join the workers (a later submission forks new ones)."""
+        with self._lock:
+            pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True)
 
 
 # ----------------------------------------------------------------------
 # Worker-side chunk machinery.
 #
-# The pool initializer installs the shared tables (platforms, policies)
-# exactly once per worker process; every submitted chunk then references
-# them by index.  Pickling a Platform (memory/cache/network/CPU models,
-# tuning, noise) per cell is what made ``--jobs 2`` slower than serial.
+# Every chunk carries the batch's shared tables (platforms, policies)
+# once and references them by index per cell.  Pickling a Platform
+# (memory/cache/network/CPU models, tuning, noise) per cell is what made
+# ``--jobs 2`` slower than serial; once per chunk is noise.
 # ----------------------------------------------------------------------
-_WORKER_TABLES: tuple[tuple[Platform, ...], tuple[TimingPolicy, ...]] | None = None
-
-
-def _init_worker(
-    platforms: tuple[Platform, ...], policies: tuple[TimingPolicy, ...]
-) -> None:
-    """Pool initializer: runs once per worker process, not per task."""
-    global _WORKER_TABLES
-    _WORKER_TABLES = (platforms, policies)
-
-
 @dataclass(frozen=True)
 class _SlimSpec:
     """A :class:`CellSpec` with its heavy shared fields replaced by
@@ -163,15 +190,15 @@ def _slim_specs(
 
 
 def _execute_chunk(
+    platforms: Sequence[Platform],
+    policies: Sequence[TimingPolicy],
     slims: Sequence[_SlimSpec],
 ) -> tuple[list[CellOutcome], tuple[int, float, float, int] | None]:
     """Worker entry point: run one chunk of slim specs against the
-    tables the initializer installed; outcomes come back in chunk
-    order, paired with a busy-span report when telemetry is active
-    (workers forked from a telemetry-on parent inherit ``_host.active``;
-    spawned workers re-enable via ``REPRO_HOST_TELEMETRY``)."""
-    assert _WORKER_TABLES is not None, "worker initializer did not run"
-    platforms, policies = _WORKER_TABLES
+    tables shipped with it; outcomes come back in chunk order, paired
+    with a busy-span report when telemetry is active (workers forked
+    from a telemetry-on parent inherit ``_host.active``; spawned workers
+    re-enable via ``REPRO_HOST_TELEMETRY``)."""
     telemetry = _host.active
     begin = telemetry.now() if telemetry is not None else 0.0
     outcomes = [execute_spec(slim.rebuild(platforms, policies)) for slim in slims]
@@ -195,6 +222,11 @@ class Executor:
         sizes chunks automatically so each worker sees about
         ``_CHUNK_WAVES`` tasks.  Chunking is invisible in every result
         (cells are pure), it only moves the dispatch/compute ratio.
+    pool:
+        Workers shared with other executors (the serve daemon's jobs);
+        the sharer closes it.  By default a ``jobs > 1`` executor owns
+        a pool of ``jobs`` workers, forked at its first parallel batch
+        and joined by :meth:`close` (or ``with Executor(...)``).
     """
 
     def __init__(
@@ -203,6 +235,7 @@ class Executor:
         jobs: int = 1,
         cache: ResultStore | None = None,
         chunk_size: int | None = None,
+        pool: WorkerPool | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -211,10 +244,24 @@ class Executor:
         self.jobs = jobs
         self.cache = cache
         self.chunk_size = chunk_size
+        self._owns_pool = pool is None and jobs > 1
+        self.pool = WorkerPool(jobs) if self._owns_pool else pool
         #: Batch-aggregated metrics from every freshly executed cell.
         self.metrics = MetricsRegistry()
         self.cells_executed = 0
         self.cells_cached = 0
+
+    def close(self) -> None:
+        """Join the workers of an owned pool (a no-op when serial or
+        sharing another's pool)."""
+        if self._owns_pool:
+            self.pool.close()
+
+    def __enter__(self) -> "Executor":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     def run_cell(self, spec: CellSpec) -> PingPongResult:
@@ -323,65 +370,60 @@ class Executor:
             (pending[lo : lo + size], slims[lo : lo + size])
             for lo in range(0, len(pending), size)
         ]
-        workers = min(self.jobs, len(chunks))
         telemetry = _host.active
+        futures: dict[Future, list[int]] = {}
         chunk_ids: dict[Future, int] = {}
-        with _pool(workers, _init_worker, (platforms, policies)) as pool:
-            try:
-                futures: dict[Future, list[int]] = {}
-                for chunk_id, (indices, chunk_slims) in enumerate(chunks):
-                    fut = pool.submit(_execute_chunk, chunk_slims)
-                    futures[fut] = indices
-                    chunk_ids[fut] = chunk_id
-                    if telemetry is not None:
-                        telemetry.event(
-                            "chunk.dispatch", chunk=chunk_id, cells=len(indices)
-                        )
-                not_done = set(futures)
+        try:
+            for chunk_id, (indices, chunk_slims) in enumerate(chunks):
+                fut = self.pool.submit(_execute_chunk, platforms, policies, chunk_slims)
+                futures[fut] = indices
+                chunk_ids[fut] = chunk_id
+                if telemetry is not None:
+                    telemetry.event(
+                        "chunk.dispatch", chunk=chunk_id, cells=len(indices)
+                    )
+            not_done = set(futures)
+            if telemetry is not None:
+                telemetry.metrics.gauge("exec.queue_depth").set(len(not_done))
+                telemetry.event("exec.queue_depth", depth=len(not_done))
+            while not_done:
+                done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
                 if telemetry is not None:
                     telemetry.metrics.gauge("exec.queue_depth").set(len(not_done))
                     telemetry.event("exec.queue_depth", depth=len(not_done))
-                while not_done:
-                    done, not_done = wait(not_done, return_when=FIRST_COMPLETED)
+                for fut in done:
+                    # Results stream back per chunk; the metrics merge
+                    # stays commutative, so chunk completion order is
+                    # unobservable in the aggregate.
+                    outcomes, report = fut.result()
                     if telemetry is not None:
-                        telemetry.metrics.gauge("exec.queue_depth").set(
-                            len(not_done)
+                        telemetry.metrics.counter("exec.chunks_completed").inc()
+                        telemetry.event(
+                            "chunk.complete", chunk=chunk_ids[fut], cells=len(outcomes)
                         )
-                        telemetry.event("exec.queue_depth", depth=len(not_done))
-                    for fut in done:
-                        # Results stream back per chunk; the metrics
-                        # merge stays commutative, so chunk completion
-                        # order is unobservable in the aggregate.
-                        outcomes, report = fut.result()
-                        if telemetry is not None:
-                            telemetry.metrics.counter("exec.chunks_completed").inc()
-                            telemetry.event(
-                                "chunk.complete",
+                        if report is not None:
+                            wpid, begin, end, ncells = report
+                            telemetry.add_span(
+                                "worker.chunk",
+                                begin,
+                                end,
+                                lane=f"worker-{wpid}",
+                                pid=wpid,
                                 chunk=chunk_ids[fut],
-                                cells=len(outcomes),
+                                cells=ncells,
                             )
-                            if report is not None:
-                                wpid, begin, end, ncells = report
-                                telemetry.add_span(
-                                    "worker.chunk",
-                                    begin,
-                                    end,
-                                    lane=f"worker-{wpid}",
-                                    pid=wpid,
-                                    chunk=chunk_ids[fut],
-                                    cells=ncells,
-                                )
-                        for i, outcome in zip(futures[fut], outcomes):
-                            self._absorb(specs[i], outcome)
-                            out[i] = (outcome, False)
-                            if on_outcome is not None:
-                                on_outcome(i, outcome, False)
-            except BaseException:
-                # Persisted cells survive; everything in flight is torn
-                # down now rather than at context exit so Ctrl-C does
-                # not hang behind queued work.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+                    for i, outcome in zip(futures[fut], outcomes):
+                        self._absorb(specs[i], outcome)
+                        out[i] = (outcome, False)
+                        if on_outcome is not None:
+                            on_outcome(i, outcome, False)
+        except BaseException:
+            # Persisted cells survive; this batch's queued chunks are
+            # dropped now so Ctrl-C does not wait behind them (the
+            # pool's owner joins the workers).
+            for fut in futures:
+                fut.cancel()
+            raise
 
     def _absorb(self, spec: CellSpec, outcome: CellOutcome) -> None:
         """Account and persist one freshly executed outcome."""
@@ -403,13 +445,13 @@ class Executor:
         argtuples = list(argtuples)
         if self.jobs == 1 or len(argtuples) <= 1:
             return [fn(*args) for args in argtuples]
-        with _pool(min(self.jobs, len(argtuples))) as pool:
-            try:
-                futures = [pool.submit(fn, *args) for args in argtuples]
-                return [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
+        futures = [self.pool.submit(fn, *args) for args in argtuples]
+        try:
+            return [f.result() for f in futures]
+        except BaseException:
+            for f in futures:
+                f.cancel()
+            raise
 
     def describe(self) -> str:
         cache = "off" if self.cache is None else str(self.cache.root)

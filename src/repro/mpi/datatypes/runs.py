@@ -157,7 +157,10 @@ class StridedRuns:
     def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
         n = self.total_bytes
         view = self._strided_view(src)
-        dst[dst_offset : dst_offset + n] = view.reshape(-1)
+        # Assign into a (count, blocklen) view of the destination: one
+        # copy.  ``view.reshape(-1)`` would first materialize the
+        # non-contiguous blocks into a temporary.
+        dst[dst_offset : dst_offset + n].reshape(self.count, self.blocklen)[...] = view
         return n
 
     def scatter(self, src: np.ndarray, src_offset: int, dst: np.ndarray) -> int:

@@ -367,8 +367,11 @@ def _exec_measure(ctx: GateContext) -> dict[str, float]:
     chunk_size = ctx.opt_int("exec.chunk_size", None)
 
     def timed(executor: Executor):
+        # Closing inside the timed region counts the parallel run's
+        # worker fork and join, as a one-command run would.
         t0 = time.perf_counter()
-        sweep = run_sweep(platform, config, executor=executor)
+        with executor:
+            sweep = run_sweep(platform, config, executor=executor)
         return time.perf_counter() - t0, sweep
 
     with tempfile.TemporaryDirectory(prefix="exec-bench-") as cache_root:

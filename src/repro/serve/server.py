@@ -99,10 +99,13 @@ class ReproServer:
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
+        """Close the socket and join the service's workers (call after
+        the service has drained)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        self.service.close()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"

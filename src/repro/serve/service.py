@@ -11,7 +11,9 @@ every accepted request through the same pipeline:
 3. **execute** the owned set through a per-job
    :class:`~repro.exec.Executor` on a worker thread (the event loop
    never blocks on simulation), persisting and resolving each cell the
-   moment it completes;
+   moment it completes.  Every job's executor shares the daemon's one
+   :class:`~repro.exec.WorkerPool`, forked at the first parallel batch
+   and joined by :meth:`SweepService.close`;
 4. **fan out**: joiners receive resolved outcomes; if an owner fails,
    joiners re-classify once (the store may have the cell, else they
    claim it themselves) instead of failing with it.
@@ -34,7 +36,7 @@ from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable
 
-from ..exec import CellOutcome, CellSpec, Executor, ResultStore
+from ..exec import CellOutcome, CellSpec, Executor, ResultStore, WorkerPool
 from ..obs import MetricsRegistry
 from ..obs import host as _host
 from .dedup import InFlightTable
@@ -56,7 +58,8 @@ class SweepService:
         ``False`` disables the store entirely: every cell is executed
         (in-flight dedup still collapses concurrent duplicates).
     jobs, chunk_size:
-        Per-job executor settings (worker processes, cells per task).
+        Executor settings: worker processes (one pool for the daemon's
+        lifetime, shared by every job) and cells per task.
     max_store_bytes:
         Optional store size bound; eviction never touches in-flight
         digests (the store's ``protect`` hook reads the table).
@@ -89,6 +92,7 @@ class SweepService:
         self._cache = cache
         self._jobs = jobs
         self._chunk_size = chunk_size
+        self._pool = WorkerPool(jobs) if jobs > 1 else None
         self._max_store_bytes = max_store_bytes
         self._executor_factory = executor_factory
         self._stores: dict[str, ResultStore] = {}
@@ -115,7 +119,9 @@ class SweepService:
     def _executor(self, store: ResultStore | None) -> Executor:
         if self._executor_factory is not None:
             return self._executor_factory(store)
-        return Executor(jobs=self._jobs, cache=store, chunk_size=self._chunk_size)
+        return Executor(
+            jobs=self._jobs, cache=store, chunk_size=self._chunk_size, pool=self._pool
+        )
 
     # ------------------------------------------------------------------
     def submit(self, request: SweepRequest) -> Job:
@@ -328,6 +334,11 @@ class SweepService:
         """Wait for every scheduled job to finish (shutdown path)."""
         while self._tasks:
             await asyncio.gather(*list(self._tasks), return_exceptions=True)
+
+    def close(self) -> None:
+        """Join the worker pool (shutdown path, after :meth:`drain`)."""
+        if self._pool is not None:
+            self._pool.close()
 
 
 def _default_salt() -> str:

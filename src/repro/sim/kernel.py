@@ -3,13 +3,27 @@
 Design
 ------
 User code (an MPI "rank program") runs in an ordinary Python thread and
-calls blocking APIs (``comm.Send``, ``task.sleep``, ...), which suspend
-the thread and hand control back to the kernel.  The kernel advances a
-single virtual clock by draining a priority queue of events; exactly one
-thread — kernel *or* one task — runs at any instant, so execution is
-fully deterministic regardless of OS scheduling: events fire in
-``(time, sequence-number)`` order, and no shared-state locking is
-needed.
+calls blocking APIs (``comm.Send``, ``task.sleep``, ...).  A single
+virtual clock advances by draining a priority queue of events in
+``(time, sequence-number)`` order; exactly one thread runs at any
+instant, so execution is fully deterministic regardless of OS
+scheduling, and no shared-state locking is needed.
+
+Scheduling is *baton passing*: there is no kernel thread.  The thread
+that suspends holds the baton and drains the heap itself, running
+``call`` callbacks inline with no current task (kernel context, so
+:attr:`Kernel.current_task` is ``None`` inside them).  When an event
+resumes a task, one of two things happens:
+
+* it is the suspending task itself — the thread just returns, with no
+  thread switch (:attr:`Kernel.self_resumes`);
+* it is another task — the thread releases that task's lock and blocks
+  on its own (:attr:`Kernel.handoffs`).
+
+A task whose function returns carries on draining the same way until
+it hands the baton on.  The thread that called :meth:`Kernel.run`
+drains until the first task starts, then only waits for the end of the
+run.
 
 This is the classic "threads as coroutines" PDES construction; the
 threads exist only to give rank programs a natural blocking call style
@@ -66,8 +80,10 @@ class SimTask:
         self.state = TaskState.NEW
         self.block_reason = ""
         self.result: Any = None
-        self._go = threading.Event()
-        self._yielded = threading.Event()
+        # Held while the thread runs or is parked; released by whoever
+        # passes this task the baton (or unwinds it on abort).
+        self._baton = threading.Lock()
+        self._baton.acquire()
         self._killed = False
         self._wake_token = 0
         self._block_begin = 0.0
@@ -80,33 +96,38 @@ class SimTask:
     # Thread plumbing (private)
     # ------------------------------------------------------------------
     def _thread_body(self) -> None:
-        self._go.wait()
-        self._go.clear()
-        if self._killed:
-            self.state = TaskState.KILLED
-            self._yielded.set()
-            return
+        kernel = self._kernel
         try:
             self.state = TaskState.RUNNING
             self.result = self._fn(*self._args)
             self.state = TaskState.FINISHED
         except _TaskKilled:
             self.state = TaskState.KILLED
+            return
         except BaseException as exc:  # noqa: BLE001 - forwarded to kernel
             self.state = TaskState.FINISHED
-            self._kernel._record_failure(exc, self)
-        finally:
-            self._kernel._task_done(self)
-            self._yielded.set()
+            kernel._record_failure(exc, self)
+        kernel._task_done(self)
+        # Still holding the baton: carry the run on until another task
+        # takes it (or the run ends).
+        kernel._current = None
+        kernel._pass(kernel._advance())
 
     def _suspend(self) -> None:
-        """Hand control to the kernel; return when resumed."""
+        """Drain events on this thread until one resumes a task; park
+        here unless that task is this one."""
         self._wake_token += 1
-        self._yielded.set()
-        self._go.wait()
-        self._go.clear()
-        if self._killed:
-            raise _TaskKilled()
+        kernel = self._kernel
+        kernel._current = None
+        task = kernel._advance()
+        if task is self:
+            kernel.self_resumes += 1
+            kernel._current = self
+        else:
+            kernel._pass(task)
+            self._baton.acquire()
+            if self._killed:
+                raise _TaskKilled()
         self.state = TaskState.RUNNING
 
     # ------------------------------------------------------------------
@@ -191,8 +212,24 @@ class Kernel:
         self._live_count = 0
         self._current: SimTask | None = None
         self._failure: BaseException | None = None
+        # An exception raised while draining (a callback's, or the
+        # event limit): run() re-raises it.
+        self._error: BaseException | None = None
+        self._max_events: int | None = None
         self._ran = False
+        # Set by the thread that ends the run; _aborted asks the baton
+        # holder to end it at its next suspend (Ctrl-C in run()).
+        self._over = False
+        self._aborted = False
+        # Held by run() until the thread that ends the run releases it.
+        self._done = threading.Lock()
         self._events_processed = 0
+        #: Resumes handed to a parked task's thread by another thread.
+        self.handoffs = 0
+        #: Resumes a suspending task drew for itself: no thread switch.
+        #: In a run that completes, ``handoffs + self_resumes`` is the
+        #: number of suspends.
+        self.self_resumes = 0
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
 
     # ------------------------------------------------------------------
@@ -228,8 +265,9 @@ class Kernel:
     def call_later(self, delay: float, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule a kernel-context callback ``delay`` from now.
 
-        Callbacks run in the kernel thread and must not block; they are
-        the mechanism for timed deliveries (a message "arriving").
+        Callbacks run in kernel context (on whichever thread holds the
+        baton, with no current task) and must not block; they are the
+        mechanism for timed deliveries (a message "arriving").
         """
         if delay < 0:
             raise ValueError("delay must be non-negative")
@@ -248,26 +286,64 @@ class Kernel:
         if self._ran:
             raise KernelStateError("a Kernel can only be run once")
         self._ran = True
+        self._max_events = max_events
+        self._done.acquire()
         try:
-            while self._heap and self._failure is None:
+            task = self._advance()
+            if task is not None:
+                # The task threads carry the run from here; this thread
+                # only waits for its end.
+                self._pass(task)
+                self._done.acquire()
+            if self._error is not None:
+                raise self._error
+            if self._failure is not None:
+                raise self._failure
+            if self._live_count > 0:
+                blocked = [
+                    (t.name, t.block_reason or t.state.value, t._block_begin)
+                    for t in self._tasks
+                    if t.alive
+                ]
+                raise DeadlockError(blocked, edges=self.tracer.wait_edges())
+        finally:
+            self._abort_remaining()
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _push(self, time: float, kind: str, payload: Any) -> None:
+        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
+
+    def _schedule_resume(self, task: SimTask, time: float, token: int) -> None:
+        self._push(time, "resume", (task, token))
+
+    def _advance(self) -> SimTask | None:
+        """Process events on the calling thread until one resumes a
+        task, and return that task.
+
+        Returns ``None`` once the run is over: queue drained, a task
+        failed, an exception was raised here, or :meth:`run` asked for
+        an abort.  :meth:`run` raises the outcome.  Returning, rather
+        than parking inside this frame, drops the last event's payload
+        before the calling thread parks.
+        """
+        try:
+            while self._heap and self._failure is None and not self._aborted:
                 time, _seq, kind, payload = heapq.heappop(self._heap)
                 self._now = time
                 self._events_processed += 1
-                if max_events is not None and self._events_processed > max_events:
+                if self._max_events is not None and self._events_processed > self._max_events:
                     raise EventLimitExceeded(
-                        f"exceeded {max_events} events at virtual time {time:.6g}"
+                        f"exceeded {self._max_events} events at virtual time {time:.6g}"
                     )
                 if kind == "call":
                     fn, args = payload
                     fn(*args)
                 elif kind == "start":
-                    # Threads start lazily here so tasks spawned mid-run
-                    # work the same as tasks spawned up front.
                     if self.tracer.wait_edges_enabled:
                         self.tracer.record_task_start(payload.name, time)
-                    if not payload._thread.is_alive():
-                        payload._thread.start()
-                    self._switch_to(payload)
+                    return payload
                 elif kind == "resume":
                     task, token = payload
                     if (
@@ -290,36 +366,30 @@ class Kernel:
                                     cause=cause,
                                 )
                             )
-                        self._switch_to(task)
+                        return task
                 else:  # pragma: no cover - defensive
                     raise SimError(f"unknown event kind {kind!r}")
-            if self._failure is not None:
-                raise self._failure
-            if self._live_count > 0:
-                blocked = [
-                    (t.name, t.block_reason or t.state.value, t._block_begin)
-                    for t in self._tasks
-                    if t.alive
-                ]
-                raise DeadlockError(blocked, edges=self.tracer.wait_edges())
-        finally:
-            self._abort_remaining()
+        except BaseException as exc:  # noqa: BLE001 - re-raised by run()
+            self._error = exc
+        self._over = True
+        return None
 
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _push(self, time: float, kind: str, payload: Any) -> None:
-        heapq.heappush(self._heap, (time, next(self._seq), kind, payload))
+    def _pass(self, task: SimTask | None) -> None:
+        """Hand the baton to ``task``'s thread, or end the run (``None``).
 
-    def _schedule_resume(self, task: SimTask, time: float, token: int) -> None:
-        self._push(time, "resume", (task, token))
-
-    def _switch_to(self, task: SimTask) -> None:
+        Everything the caller does after this is park or exit.
+        """
+        if task is None:
+            self._done.release()
+            return
         self._current = task
-        task._go.set()
-        task._yielded.wait()
-        task._yielded.clear()
-        self._current = None
+        if task._thread.ident is None:
+            # Threads start lazily so tasks spawned mid-run work the
+            # same as tasks spawned up front.
+            task._thread.start()
+        else:
+            self.handoffs += 1
+            task._baton.release()
 
     def _check_current(self, task: SimTask) -> None:
         if self._current is not task:
@@ -338,11 +408,19 @@ class Kernel:
             self.tracer.record_task_finish(task.name, self._now)
 
     def _abort_remaining(self) -> None:
-        """Unwind any still-suspended task threads so they don't leak."""
+        """Unwind any still-parked task threads so they don't leak.
+
+        If :meth:`run` is leaving early (Ctrl-C) while a task thread
+        still holds the baton, that thread is first asked to stop at its
+        next suspend, so no task runs while the parked ones unwind.
+        """
+        if not self._over:
+            self._aborted = True
+            self._done.acquire(timeout=10.0)
         for task in self._tasks:
             if task._thread.is_alive() and task.alive:
                 task._killed = True
-                task._go.set()
+                task._baton.release()
         for task in self._tasks:
             if task._thread.is_alive():
                 task._thread.join(timeout=10.0)

@@ -30,6 +30,7 @@ from repro.exec import (
     execute_spec,
     using_executor,
 )
+from repro.exec.executor import _execute_chunk as _real_execute_chunk
 
 GOLDEN = json.loads(
     (Path(__file__).parent.parent / "core" / "golden_scheme_times.json").read_text()
@@ -209,7 +210,11 @@ class TestInterruptAndResume:
             assert a.virtual_time.hex() == b.virtual_time.hex()
 
     def test_parallel_interrupt_tears_the_pool_down(self, tmp_path, monkeypatch):
-        """A BaseException mid-wait cancels queued work and propagates."""
+        """A BaseException mid-wait cancels queued work and propagates;
+        close() then joins the workers."""
+        import multiprocessing
+
+        before = set(multiprocessing.active_children())
         _, specs = golden_batch()
         batch = specs[:4]
         ex = Executor(jobs=2, cache=ResultStore(tmp_path))
@@ -220,12 +225,42 @@ class TestInterruptAndResume:
         monkeypatch.setattr("repro.exec.executor.wait", boom)
         with pytest.raises(KeyboardInterrupt):
             ex.run_batch(batch)
+        ex.close()
+        assert set(multiprocessing.active_children()) <= before
+
+
+class TestWorkerPool:
+    def test_a_dead_worker_does_not_break_later_batches(self):
+        import os
+        from concurrent.futures.process import BrokenProcessPool
+
+        keys, specs = golden_batch()
+        with Executor(jobs=2) as ex:
+            with pytest.raises(BrokenProcessPool):
+                ex.starmap(os._exit, [(1,), (1,)])
+            cells = ex.run_batch(specs[:4])
+        assert_matches_goldens(keys[:4], cells)
+
+    def test_workers_leave_ctrl_c_to_the_parent(self):
+        """A terminal's Ctrl-C reaches the whole process group; an idle
+        worker must survive it (the parent decides what stops)."""
+        import multiprocessing
+        import os
+        import signal
+        import time
+
+        with Executor(jobs=2) as ex:
+            pids = set(ex.starmap(os.getpid, [(), (), (), ()]))
+            for pid in pids:
+                os.kill(pid, signal.SIGINT)
+            time.sleep(0.2)
+            assert pids <= {p.pid for p in multiprocessing.active_children()}
 
 
 class TestChunkedDispatch:
     """Chunking is a dispatch-cost knob, never a semantic one: results,
     cache contents, and metrics cannot depend on the chunk size, and the
-    heavy shared tables ship once per worker, not once per chunk."""
+    heavy shared tables ship once per chunk, not once per cell."""
 
     def test_auto_chunk_sizing_targets_waves_per_worker(self):
         # 16 cells over 2 workers x 4 waves -> 2 cells per chunk.
@@ -258,9 +293,9 @@ class TestChunkedDispatch:
             assert a.events == b.events
 
     def test_slim_payload_ships_tables_not_platforms(self):
-        """The per-cell task payload carries table indices; the platform
-        (the pickling cost that made --jobs lose to serial) appears only
-        in the once-per-worker tables."""
+        """The per-cell payload carries table indices; the platform (the
+        pickling cost that made --jobs lose to serial) appears only in
+        the tables each chunk carries once."""
         import pickle
 
         from repro.core import PAPER_ORDER, StridedLayout
@@ -294,12 +329,10 @@ class TestChunkedDispatch:
         rebuilt = [s.rebuild(platforms, policies) for s in slims]
         assert [r.digest for r in rebuilt] == [s.digest for s in specs]
 
-    def test_initializer_runs_once_per_worker_not_per_chunk(
-        self, tmp_path, monkeypatch
-    ):
-        """Regression for the once-per-worker contract: 6 single-cell
-        chunks over 2 workers must invoke the pool initializer at most
-        twice (once per worker process), never per chunk."""
+    def test_one_pool_serves_every_batch(self, tmp_path, monkeypatch):
+        """Two batches of one executor share its pool: at most ``jobs``
+        worker processes ever run a chunk, every chunk carries the
+        shared tables, and close() joins the workers."""
         import functools
         import multiprocessing
 
@@ -309,18 +342,18 @@ class TestChunkedDispatch:
         import repro.exec.executor as executor_mod
 
         monkeypatch.setattr(
-            executor_mod,
-            "_init_worker",
-            functools.partial(_marking_init, executor_mod._init_worker, str(tmp_path)),
+            executor_mod, "_execute_chunk", functools.partial(_marking_chunk, str(tmp_path))
         )
+        before = set(multiprocessing.active_children())
         _, specs = golden_batch()
-        sample = specs[:6]
-        ex = Executor(jobs=2, chunk_size=1)
-        ex.run_batch(sample)
-        markers = list(tmp_path.glob("init.*"))
+        with Executor(jobs=2, chunk_size=1) as ex:
+            ex.run_batch(specs[:3])
+            ex.run_batch(specs[3:6])
+        markers = list(tmp_path.glob("chunk.*"))
         assert ex.cells_executed == 6
-        assert 1 <= len(markers) <= 2  # one marker per worker process
-        assert len(markers) < len(sample)  # strictly fewer inits than chunks
+        assert len(markers) == 6  # one chunk per cell, each with its tables
+        assert 1 <= len({m.name.split(".")[1] for m in markers}) <= 2
+        assert set(multiprocessing.active_children()) <= before
 
 
 class TestAmbientExecutor:
@@ -346,13 +379,17 @@ class TestAmbientExecutor:
             Executor(jobs=0)
 
 
-def _marking_init(real_init, marker_dir: str, platforms, policies) -> None:
-    """Module-level (fork-shareable) wrapper around the real pool
-    initializer that leaves one marker file per worker process."""
+def _marking_chunk(marker_dir: str, platforms, policies, slims):
+    """Module-level (picklable) wrapper around the real chunk entry
+    point that leaves one marker file per chunk, named by worker pid."""
     import os
+    import uuid
 
-    real_init(platforms, policies)
-    Path(marker_dir, f"init.{os.getpid()}").write_text("")
+    from repro.machine.platform import Platform
+
+    assert platforms and all(isinstance(p, Platform) for p in platforms)
+    Path(marker_dir, f"chunk.{os.getpid()}.{uuid.uuid4().hex}").write_text("")
+    return _real_execute_chunk(platforms, policies, slims)
 
 
 def _scheme_time(scheme: str, nbytes: int) -> float:

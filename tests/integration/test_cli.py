@@ -108,13 +108,16 @@ def test_report_command_with_stub(tmp_path, capsys, monkeypatch):
 
 
 def test_sweep_with_jobs_matches_serial(tmp_path, capsys):
-    """--jobs 2 must print the same table and save the same artifact."""
+    """The default (a worker pool) and --jobs 2 print the same table and
+    save the same artifact as --jobs 1."""
     base = ["sweep", "--platform", "ideal", "--min-bytes", "1000",
             "--max-bytes", "100000", "--per-decade", "1",
-            "--iterations", "3", "--no-flush",
+            "--iterations", "3", "--no-flush", "--no-cache",
             "--schemes", "reference", "copying"]
-    assert main(base + ["--out", str(tmp_path / "serial.json")]) == 0
+    assert main(base + ["--jobs", "1", "--out", str(tmp_path / "serial.json")]) == 0
     serial_out = capsys.readouterr().out
+    assert main(base + ["--out", str(tmp_path / "default.json")]) == 0
+    assert capsys.readouterr().out.replace("default.json", "serial.json") == serial_out
     assert main(base + ["--jobs", "2", "--out", str(tmp_path / "par.json")]) == 0
     parallel_out = capsys.readouterr().out
     assert parallel_out.replace("par.json", "serial.json") == serial_out
@@ -123,6 +126,38 @@ def test_sweep_with_jobs_matches_serial(tmp_path, capsys):
     a = SweepResult.load(tmp_path / "serial.json")
     b = SweepResult.load(tmp_path / "par.json")
     assert a.to_dict() == b.to_dict()
+    assert (tmp_path / "default.json").read_bytes() == (tmp_path / "serial.json").read_bytes()
+
+
+def test_jobs_defaults_to_one_worker_per_cpu():
+    import os
+
+    cpus = len(os.sched_getaffinity(0))
+    for argv in (["sweep"], ["report"], ["validate"], ["serve"]):
+        assert build_parser().parse_args(argv).jobs == cpus
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--jobs", "0"],
+    ["sweep", "--jobs", "-2"],
+    ["sweep", "--jobs", "two"],
+    ["sweep", "--chunk-size", "0"],
+    ["report", "--jobs", "0"],
+    ["experiment", "halo", "--chunk-size", "-1"],
+    ["validate", "--jobs", "0"],
+    ["serve", "--jobs", "0"],
+    ["serve", "--chunk-size", "0"],
+])
+def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys):
+    """Exit 2 with one argparse error line, not a ValueError traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = err.strip().splitlines()[-1]
+    assert "error: argument" in last
+    assert "--jobs" in last or "--chunk-size" in last
 
 
 def test_sweep_reruns_hit_the_cache(capsys):
@@ -191,7 +226,7 @@ def test_interrupt_persists_and_hints_resume(capsys, monkeypatch):
     monkeypatch.setattr(executor_mod, "execute_spec", flaky)
     cmd = ["sweep", "--platform", "ideal", "--min-bytes", "1000",
            "--max-bytes", "1000", "--iterations", "2", "--no-flush",
-           "--schemes", "reference", "copying", "vector"]
+           "--schemes", "reference", "copying", "vector", "--jobs", "1"]
     assert main(cmd) == 130
     err = capsys.readouterr().err
     assert "interrupted" in err
@@ -201,6 +236,32 @@ def test_interrupt_persists_and_hints_resume(capsys, monkeypatch):
     # The resumed run fast-forwards through the persisted cell.
     monkeypatch.setattr(executor_mod, "execute_spec", real_execute)
     assert main(cmd) == 0
+
+
+def test_parallel_interrupt_persists_and_joins_workers(capsys, monkeypatch):
+    """The same Ctrl-C under the worker pool: exit 130, the cells that
+    completed are persisted, and no worker outlives the command."""
+    import multiprocessing
+
+    import repro.cli as cli_mod
+
+    calls = {"n": 0}
+
+    def progress(*args):
+        calls["n"] += 1
+        if calls["n"] == 2:  # Ctrl-C after the second completed cell
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli_mod, "_progress", progress)
+    before = set(multiprocessing.active_children())
+    assert main(["sweep", "--platform", "ideal", "--min-bytes", "1000",
+                 "--max-bytes", "1000", "--iterations", "2", "--no-flush",
+                 "--schemes", "reference", "copying", "vector",
+                 "--jobs", "2", "--verbose"]) == 130
+    assert "2 newly executed cell(s) are cached" in capsys.readouterr().err
+    assert set(multiprocessing.active_children()) <= before
+    assert main(["cache", "stats"]) == 0
+    assert "entries:     2" in capsys.readouterr().out
 
 
 def test_interrupt_without_cache_warns(capsys, monkeypatch):

@@ -270,3 +270,34 @@ def test_drain_waits_for_scheduled_jobs(tmp_path):
 
     job = asyncio.run(run())
     assert job.status == "done"
+
+
+def test_jobs_share_one_worker_pool_joined_on_close(tmp_path):
+    """Every job's executor runs on the daemon's one pool, forked at the
+    first multi-cell batch; close() joins its workers."""
+    import multiprocessing
+
+    before = set(multiprocessing.active_children())
+    executors = []
+
+    async def run():
+        service = SweepService(store_root=tmp_path, jobs=2)
+        build = service._executor
+
+        def spy(store):
+            executors.append(build(store))
+            return executors[-1]
+
+        service._executor = spy
+        for eager in (4096, 8192):
+            job = service.submit(make_request(sizes=(2048, 65536), eager_limit=eager))
+            await job.finished.wait()
+            assert (job.status, job.recomputed) == ("done", 4)
+        return service
+
+    service = asyncio.run(run())
+    first, second = executors
+    assert first.pool is second.pool is not None
+    assert len(set(multiprocessing.active_children()) - before) == 2
+    service.close()
+    assert set(multiprocessing.active_children()) <= before

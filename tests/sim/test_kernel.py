@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import signal
+import threading
+import weakref
+
 import pytest
 
 from repro.sim import (
@@ -303,3 +307,141 @@ def test_determinism_fingerprint():
         return (k.now, k.events_processed)
 
     assert build() == build()
+
+
+# ----------------------------------------------------------------------
+# Baton passing: kernel context on task threads, clean unwinding, and
+# the handoff/self-resume accounting.
+# ----------------------------------------------------------------------
+def test_callback_drained_on_a_task_thread_is_kernel_context():
+    k = Kernel()
+    seen = []
+
+    def main():
+        k.call_later(1.0, lambda: seen.append((k.current_task, threading.current_thread().name)))
+        k.tasks[0].sleep(2.0)
+
+    k.spawn(main, name="solo")
+    k.run()
+    # The suspending task's own thread ran the callback, with no task
+    # current: task APIs called from it are rejected as before.
+    assert seen == [(None, "sim:solo")]
+
+
+def test_parked_thread_does_not_pin_a_delivered_payload():
+    """The thread that drains a delivery and then parks must not keep
+    the delivered payload alive in its frame."""
+    k = Kernel()
+    refs = []
+
+    class Payload:
+        pass
+
+    def deliver(payload, task):
+        refs.append(weakref.ref(payload))
+        task.wake()
+
+    def receiver():
+        k.tasks[0].block("recv")
+        # The sender drained the delivery, handed over and parked.
+        assert refs[0]() is None
+
+    def sender():
+        k.call_later(1.0, deliver, Payload(), k.tasks[0])
+        k.tasks[1].sleep(5.0)
+
+    k.spawn(receiver, name="rx")
+    k.spawn(sender, name="tx")
+    k.run()
+    assert len(refs) == 1
+
+
+def test_interrupt_while_ranks_run_unwinds_every_thread(capfd):
+    """Ctrl-C lands in the thread calling run() while a rank holds the
+    baton: the rank stops at its next suspend and every task thread
+    unwinds, with nothing reported on stderr."""
+    assert threading.current_thread() is threading.main_thread()
+    baseline = threading.active_count()
+    k = Kernel()
+
+    def rank(i):
+        task = k.tasks[i]
+        task.sleep(1.0)
+        if i == 0:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        while True:
+            task.sleep(1.0)
+
+    for i in range(3):
+        k.spawn(rank, i, name=f"r{i}")
+    with pytest.raises(KeyboardInterrupt):
+        k.run()
+    assert threading.active_count() == baseline
+    assert all(t.state is TaskState.KILLED for t in k.tasks)
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("ending", ["deadlock", "failure", "event-limit"])
+def test_abnormal_ends_leave_no_task_threads(ending, capfd):
+    baseline = threading.active_count()
+    k = Kernel()
+    cond = SimCondition(k, "never")
+
+    def waiter():
+        cond.wait(k.tasks[0], reason="forever")
+
+    def other():
+        task = k.tasks[1]
+        task.sleep(1.0)
+        if ending == "failure":
+            raise RuntimeError("kaput")
+        while ending == "event-limit":
+            task.sleep(1.0)
+        cond.wait(task, reason="forever")
+
+    k.spawn(waiter, name="w")
+    k.spawn(other, name="o")
+    expected = {"deadlock": DeadlockError, "failure": RuntimeError,
+                "event-limit": EventLimitExceeded}[ending]
+    with pytest.raises(expected):
+        k.run(max_events=50)
+    assert threading.active_count() == baseline
+    assert capfd.readouterr().err == ""
+
+
+def test_handoffs_and_self_resumes_sum_to_suspends(monkeypatch):
+    """Pinned on one golden cell: every suspend is resumed either in
+    place or by one handoff, and the golden times are unchanged."""
+    import json
+    from pathlib import Path
+
+    from repro.core import StridedLayout, TimingPolicy, run_pingpong
+    from repro.sim.kernel import SimTask
+
+    kernels, suspends = [], [0]
+    real_run, real_suspend = Kernel.run, SimTask._suspend
+
+    def run(self, max_events=None):
+        kernels.append(self)
+        return real_run(self, max_events)
+
+    def suspend(self):
+        suspends[0] += 1
+        return real_suspend(self)
+
+    monkeypatch.setattr(Kernel, "run", run)
+    monkeypatch.setattr(SimTask, "_suspend", suspend)
+    cell = run_pingpong(
+        "vector",
+        StridedLayout(nblocks=125_000, blocklen=1, stride=2),
+        "skx-impi",
+        policy=TimingPolicy(iterations=3, flush=True),
+        materialize=False,
+    )
+    golden = json.loads(
+        (Path(__file__).parent.parent / "core" / "golden_scheme_times.json").read_text()
+    )["skx-impi/mid-1MB/vector"]
+    assert (cell.time.hex(), cell.events) == (golden["time"], golden["events"])
+    (kernel,) = kernels
+    assert kernel.handoffs + kernel.self_resumes == suspends[0]
+    assert (kernel.handoffs, kernel.self_resumes) == (26, 25)
