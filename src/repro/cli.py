@@ -403,7 +403,7 @@ def _parse_options(pairs: list[str] | None) -> dict[str, str]:
     for pair in pairs or []:
         key, sep, value = pair.partition("=")
         if not sep or not key:
-            raise SystemExit(f"--option expects KEY=VALUE, got {pair!r}")
+            raise ValueError(f"--option expects KEY=VALUE, got {pair!r}")
         options[key] = value
     return options
 
@@ -419,6 +419,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         get_gate,
         render_diff,
         render_report,
+        resolve_settings,
         run_gate,
     )
 
@@ -439,7 +440,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return 0
 
     # record / gate: run the selected specs.
-    options = _parse_options(args.option)
     if args.all or not args.gates:
         specs = all_gates()
     else:
@@ -448,6 +448,14 @@ def cmd_perf(args: argparse.Namespace) -> int:
         except LookupError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
+    # A malformed option is a usage error, caught before any gate runs.
+    try:
+        options = _parse_options(args.option)
+        for spec in specs:
+            resolve_settings(spec, options)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     results = []
     sections = []

@@ -18,6 +18,7 @@ from ..analysis.metrics import asymptotic_slowdown
 from ..core.runner import run_sweep
 from ..core.sweep import SweepConfig, default_message_sizes
 from ..core.timing import TimingPolicy
+from ..machine.pricing import predicted_copying_slowdown
 from ..machine.registry import PAPER_PLATFORMS, get_platform
 from .base import ExperimentResult
 
@@ -39,9 +40,7 @@ def run_slowdown_prediction_experiment(*, quick: bool = False) -> ExperimentResu
         measured = asymptotic_slowdown(sweep, "copying")
         # First-order prediction: gather reads 2N at DRAM speed, half the
         # write is exposed, then the send moves N at wire speed.
-        from ..machine.analytic import AnalyticModel
-
-        predicted = AnalyticModel(plat).predicted_copying_slowdown()
+        predicted = predicted_copying_slowdown(plat)
         deviation = abs(measured - predicted) / predicted
         ok = ok and deviation <= 0.35 and measured >= 2.5
         lines.append(

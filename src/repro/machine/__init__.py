@@ -8,8 +8,7 @@ MPI implementation's tuning profile (:class:`MpiTuning`).  A
 paper's four calibrated platforms plus an ``ideal`` test platform.
 """
 
-from .access import AccessPattern, contiguous_pattern
-from .analytic import AnalyticModel, stride2_pattern
+from .access import AccessPattern, contiguous_pattern, stride2_pattern
 from .cache import CacheHierarchy, CacheLevel
 from .cpu import CpuModel
 from .fingerprint import MODEL_VERSION, canonical, digest_of
@@ -31,7 +30,6 @@ from .tuning import MpiTuning
 __all__ = [
     "AccessPattern",
     "contiguous_pattern",
-    "AnalyticModel",
     "stride2_pattern",
     "CacheHierarchy",
     "CacheLevel",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["AccessPattern", "contiguous_pattern"]
+__all__ = ["AccessPattern", "contiguous_pattern", "stride2_pattern"]
 
 
 @dataclass(frozen=True)
@@ -93,4 +93,16 @@ def contiguous_pattern(nbytes: int) -> AccessPattern:
         nblocks=1,
         span_bytes=nbytes,
         regularity=1.0,
+    )
+
+
+def stride2_pattern(nbytes: int) -> AccessPattern:
+    """The paper's layout: ``nbytes`` of payload as every other double."""
+    if nbytes <= 0 or nbytes % 8:
+        raise ValueError("nbytes must be a positive multiple of 8")
+    return AccessPattern(
+        total_bytes=nbytes,
+        block_bytes=8.0,
+        nblocks=nbytes // 8,
+        span_bytes=2 * nbytes,
     )

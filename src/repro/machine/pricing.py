@@ -1,12 +1,15 @@
-"""Per-scheme ping-pong pricing for an arbitrary access pattern.
+"""Closed-form ping-pong pricing: the paper's section 2 model.
 
-:class:`~repro.machine.analytic.AnalyticModel` predicts the paper's
-stride-2 double layout in closed form.  :class:`SchemePricer` is the
-same arithmetic with the layout abstracted out: every formula takes an
-:class:`AccessPattern` instead of a byte count, so any derived datatype
-the IR can canonicalize can be priced through the identical machine
-model.  ``AnalyticModel`` delegates here with ``stride2_pattern`` — the
-two are bit-identical by construction for the paper's layout.
+These formulas are the analytic counterpart of the discrete-event
+simulation: the simulator composes the same costs event by event, so
+for simple scenarios the two must agree.  Tests cross-check them, and
+the ``model`` experiment reports them next to the measured values.
+
+Every formula takes an :class:`AccessPattern`, so any derived datatype
+the IR can canonicalize is priced through the same machine model;
+``stride2_pattern(nbytes)`` is the paper's own layout (every other
+double).  Predictions are for one ping-pong in the paper's harness
+(zero-byte pong, cold caches).
 
 Scheme keys mirror ``repro.core.schemes`` (the machine layer must not
 import it; a test pins the two lists against each other).
@@ -23,7 +26,7 @@ from .platform import Platform
 if TYPE_CHECKING:  # machine must not import net at runtime
     from ..net.transport import Transport
 
-__all__ = ["PRICED_SCHEMES", "SchemePricer"]
+__all__ = ["PRICED_SCHEMES", "SchemePricer", "predicted_copying_slowdown"]
 
 #: Every scheme the pricer knows a closed form for, in the paper's
 #: figure order.  Must match ``repro.core.schemes.PAPER_ORDER``.
@@ -249,3 +252,11 @@ class SchemePricer:
         if key == "packing-vector":
             return self.packing_vector(pattern)
         raise KeyError(f"no pricing formula for scheme {key!r}")
+
+
+def predicted_copying_slowdown(platform: Platform) -> float:
+    """The asymptotic copying slowdown — the paper's 'factor of
+    three' once memory and network bandwidths are equal."""
+    net = platform.network.bandwidth
+    mem = platform.memory.hierarchy
+    return 1.0 + net * (2.0 / mem.dram_read_bandwidth + 0.5 / mem.dram_write_bandwidth)

@@ -1,6 +1,4 @@
-"""``repro.perf`` — the unified performance ledger and regression gates.
-
-One subsystem replaces five ad-hoc ``tools/check_*.py`` scripts:
+"""``repro.perf`` — the performance ledger and regression gates.
 
 * **Gates** (:mod:`.gates`, :mod:`.workloads`) — a declarative
   :class:`GateSpec` registry.  Each gate names a measurement workload,
@@ -9,7 +7,7 @@ One subsystem replaces five ad-hoc ``tools/check_*.py`` scripts:
   ``skipped`` semantics (a gate that cannot run on this host is
   recorded as skipped with a reason, never silently green), and
   marking metrics that feed a skipped check as *informational* so a
-  committed benchmark file can never read as an asserted number.
+  recorded number can never read as an asserted one.
 * **Ledger** (:mod:`.ledger`) — an append-only JSONL run history under
   ``~/.cache/repro-mpi/perf-ledger/``.  Every record is
   self-describing: git sha, machine fingerprint (privacy-preserving —
@@ -20,9 +18,7 @@ One subsystem replaces five ad-hoc ``tools/check_*.py`` scripts:
   deltas between any two ledger entries with noise bands derived from
   the recorded samples, and a human-readable history report.
 
-Surfaced as ``repro perf record|gate|diff|report``; the legacy
-``tools/check_*.py`` entry points remain as thin shims over this
-registry.
+Surfaced as ``repro perf record|gate|diff|report``.
 """
 
 from .diffs import MetricDelta, diff_entries, render_diff
@@ -36,6 +32,7 @@ from .gates import (
     gate_names,
     get_gate,
     register,
+    resolve_settings,
     run_gate,
 )
 from .ledger import (
@@ -62,6 +59,7 @@ __all__ = [
     "gate_names",
     "get_gate",
     "register",
+    "resolve_settings",
     "run_gate",
     "LEDGER_VERSION",
     "Ledger",

@@ -16,9 +16,13 @@ to its metrics; :func:`run_gate` turns one spec into a
   :func:`repro.obs.host.capturing` block; the snapshot lands in the
   result (and the full capture is returned for Chrome-trace export).
 
+Options are resolved up front: :func:`resolve_settings` parses a gate's
+repeat count and every overridable threshold, so a malformed value
+fails before any workload starts.
+
 Gates self-register into a process-wide registry
 (:func:`register` / :func:`get_gate` / :func:`all_gates`);
-:mod:`repro.perf.workloads` populates it with the five built-ins.
+:mod:`repro.perf.workloads` populates it with the seven built-ins.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "gate_names",
     "get_gate",
     "register",
+    "resolve_settings",
     "run_gate",
 ]
 
@@ -66,18 +71,28 @@ class GateContext:
 
     # ------------------------------------------------------------------
     def opt_float(self, key: str, default: float) -> float:
-        value = self.options.get(key, default)
-        return float(value)
+        return _option(self.options, key, default, float)
 
     def opt_int(self, key: str, default: int | None) -> int | None:
-        value = self.options.get(key, default)
-        if value is None or value == "":
-            return None
-        return int(value)
+        return _option(self.options, key, default, int)
 
     def opt_str(self, key: str, default: str | None) -> str | None:
         value = self.options.get(key, default)
         return None if value is None else str(value)
+
+
+def _option(options: dict[str, Any], key: str, default: Any, kind: type) -> Any:
+    """``options[key]`` (else ``default``) as ``kind``; an empty or
+    missing int reads as ``None``.  A value that does not parse raises
+    ``ValueError`` naming the option."""
+    value = options.get(key, default)
+    if kind is int and (value is None or value == ""):
+        return None
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"option {key} expects {noun}, got {value!r}") from None
 
 
 def _find_repo() -> Path:
@@ -97,8 +112,10 @@ class GateCheck:
     name: str
     metric: str
     op: str  #: ``">="`` (defend a win) or ``"<="`` (cap a regression)
-    threshold_option: str  #: Option key holding the limit.
     default_threshold: float
+    #: Option key that may override the limit; ``None`` fixes it at
+    #: ``default_threshold`` (correctness checks are never loosened).
+    threshold_option: str | None = None
     #: Optional predicate: a non-``None`` return is the skip reason.
     skip: Callable[[GateContext], str | None] | None = None
     #: Metrics that become informational when this check is skipped
@@ -254,6 +271,25 @@ def all_gates() -> list[GateSpec]:
 # ----------------------------------------------------------------------
 # The engine.
 # ----------------------------------------------------------------------
+def resolve_settings(
+    spec: GateSpec, options: dict[str, Any] | None = None
+) -> tuple[int, tuple[float, ...]]:
+    """The repeat count and per-check thresholds (in ``spec.checks``
+    order) that ``spec`` runs with under ``options``.
+
+    Raises ``ValueError`` naming the option when a value does not parse.
+    """
+    options = options or {}
+    repeats = _option(options, f"{spec.ns}.repeats", spec.default_repeats, int)
+    thresholds = tuple(
+        check.default_threshold
+        if check.threshold_option is None
+        else _option(options, check.threshold_option, check.default_threshold, float)
+        for check in spec.checks
+    )
+    return max(1, repeats or 1), thresholds
+
+
 def run_gate(
     spec: GateSpec,
     options: dict[str, Any] | None = None,
@@ -266,10 +302,11 @@ def run_gate(
     Chrome-trace export; its snapshot is already embedded in the
     result).  Workload exceptions are converted into a failing result
     with ``error`` set — one broken gate must not mask the others in a
-    ``--all`` run.
+    ``--all`` run.  A malformed option raises ``ValueError`` (see
+    :func:`resolve_settings`) before the workload starts.
     """
+    repeats, thresholds = resolve_settings(spec, options)
     ctx = GateContext(options)
-    repeats = max(1, ctx.opt_int(f"{spec.ns}.repeats", spec.default_repeats) or 1)
     telemetry: _host.HostTelemetry | None = None
     samples: list[dict[str, float]] = []
     extra: dict[str, Any] = {}
@@ -294,9 +331,8 @@ def run_gate(
 
     checks: list[CheckResult] = []
     informational = set(medians)
-    for check in spec.checks:
+    for check, threshold in zip(spec.checks, thresholds):
         reason = check.skip(ctx) if check.skip is not None else None
-        threshold = ctx.opt_float(check.threshold_option, check.default_threshold)
         if error is not None and reason is None:
             reason = "workload errored"
         if reason is not None:

@@ -1,9 +1,5 @@
-"""The built-in regression gates, ported from ``tools/check_*.py``.
-
-Each legacy script's measurement body lives here as a
-:class:`~.gates.GateSpec`; the scripts themselves remain as thin shims
-that parse their historical flags, map them onto gate options, and run
-the registry entry.  Registered gates:
+"""The built-in regression gates, one :class:`~.gates.GateSpec` each,
+run by ``repro perf gate|record``.  Registered gates:
 
 ``tracing-overhead``
     Zero-cost-when-off contract of the flight recorder *and* host
@@ -36,7 +32,9 @@ the registry entry.  Registered gates:
     request, and leave the daemon healthy.
 
 Option keys are namespaced by gate (``exec.min_cache_speedup``,
-``tracing.threshold``, ...); every gate honours ``<ns>.repeats``.
+``tracing.threshold``, ...); every gate honours ``<ns>.repeats``.  Only
+speed and latency floors take an option: correctness checks (identity,
+goldens, store hits, server health) have fixed thresholds.
 """
 
 from __future__ import annotations
@@ -57,9 +55,6 @@ __all__ = [
     "STRUCTURAL_CHECK",
     "TIMING_WORKLOAD_TRACING",
     "TIMING_WORKLOAD_PLAN",
-    "exec_gate_records",
-    "evaluate_exec_gates",
-    "exec_bench_record",
 ]
 
 
@@ -233,7 +228,6 @@ register(
                 name="structural",
                 metric="structural_ok",
                 op=">=",
-                threshold_option="tracing.min_structural",
                 default_threshold=1.0,
             ),
             GateCheck(
@@ -422,7 +416,6 @@ register(
                 name="identity",
                 metric="sweeps_identical",
                 op=">=",
-                threshold_option="exec.min_identity",
                 default_threshold=1.0,
             ),
             GateCheck(
@@ -505,9 +498,11 @@ def _count_golden_mismatches(executor, golden) -> int:
     return bad
 
 
-def _contention_goldens(ctx: GateContext) -> dict[str, float]:
-    """Cold + warm golden passes (expensive — run once per gate, cached
-    in the scratch dict across the timing repeats)."""
+def _golden_passes(ctx: GateContext) -> dict[str, float]:
+    """Cold + warm passes of the 64 recorded golden cells through one
+    result store: every scheme time and digest must stay bit-identical.
+    Expensive, so run once per gate and cached in the scratch dict
+    across the timing repeats."""
     cached = ctx.scratch.get("goldens")
     if cached is not None:
         return cached
@@ -516,7 +511,7 @@ def _contention_goldens(ctx: GateContext) -> dict[str, float]:
     golden = json.loads(
         (ctx.repo / "tests" / "core" / "golden_scheme_times.json").read_text()
     )
-    with tempfile.TemporaryDirectory(prefix="contention-store-") as tmp:
+    with tempfile.TemporaryDirectory(prefix="golden-store-") as tmp:
         store = ResultStore(tmp)
         cold = Executor(cache=store)
         cold_bad = _count_golden_mismatches(cold, golden)
@@ -543,7 +538,7 @@ def _contention_time_sweep(with_topology: bool) -> float:
 
 
 def _contention_measure(ctx: GateContext) -> dict[str, float]:
-    metrics = dict(_contention_goldens(ctx))
+    metrics = dict(_golden_passes(ctx))
     t_bare = _contention_time_sweep(with_topology=False)
     t_flat = _contention_time_sweep(with_topology=True)
     metrics.update(
@@ -568,7 +563,6 @@ register(
                 name="goldens",
                 metric="golden_mismatches",
                 op="<=",
-                threshold_option="contention.max_mismatches",
                 default_threshold=0.0,
                 informational=("unexpected_cold_hits", "warm_reexecutions"),
             ),
@@ -576,14 +570,12 @@ register(
                 name="cold-store-misses",
                 metric="unexpected_cold_hits",
                 op="<=",
-                threshold_option="contention.max_cold_hits",
                 default_threshold=0.0,
             ),
             GateCheck(
                 name="warm-store-hits",
                 metric="warm_reexecutions",
                 op="<=",
-                threshold_option="contention.max_warm_reexec",
                 default_threshold=0.0,
             ),
             GateCheck(
@@ -631,37 +623,8 @@ def _shm_time_halo(spec, nranks: int, platform) -> tuple[float, int]:
     return elapsed, int(job.metrics.counter("p2p.shm_sends").value)
 
 
-def _shm_goldens(ctx: GateContext) -> dict[str, float]:
-    """Cold + warm golden passes against the 64 recorded cells — the
-    transport refactor must leave every flat-topology digest and scheme
-    time bit-identical.  Expensive, so computed once per gate run and
-    cached across the timing repeats."""
-    cached = ctx.scratch.get("shm_goldens")
-    if cached is not None:
-        return cached
-    from ..exec import Executor, ResultStore
-
-    golden = json.loads(
-        (ctx.repo / "tests" / "core" / "golden_scheme_times.json").read_text()
-    )
-    with tempfile.TemporaryDirectory(prefix="shm-store-") as tmp:
-        store = ResultStore(tmp)
-        cold = Executor(cache=store)
-        cold_bad = _count_golden_mismatches(cold, golden)
-        warm = Executor(cache=store)
-        warm_bad = _count_golden_mismatches(warm, golden)
-        result = {
-            "golden_mismatches": float(cold_bad + warm_bad),
-            "unexpected_cold_hits": float(cold.cells_cached),
-            "warm_reexecutions": float(warm.cells_executed),
-            "golden_cells": float(len(golden)),
-        }
-    ctx.scratch["shm_goldens"] = result
-    return result
-
-
 def _shm_measure(ctx: GateContext) -> dict[str, float]:
-    metrics = dict(_shm_goldens(ctx))
+    metrics = dict(_golden_passes(ctx))
     nranks, spec, plat_net, plat_shm = _shm_halo_setup(ctx)
     t_net, net_shm_sends = _shm_time_halo(spec, nranks, plat_net)
     t_shm, shm_sends = _shm_time_halo(spec, nranks, plat_shm)
@@ -691,7 +654,6 @@ register(
                 name="goldens",
                 metric="golden_mismatches",
                 op="<=",
-                threshold_option="shm.max_mismatches",
                 default_threshold=0.0,
                 informational=("unexpected_cold_hits", "warm_reexecutions"),
             ),
@@ -706,7 +668,6 @@ register(
                 name="shm-exercised",
                 metric="shm_sends",
                 op=">=",
-                threshold_option="shm.min_shm_sends",
                 default_threshold=1.0,
                 informational=("network_shm_sends",),
             ),
@@ -831,7 +792,6 @@ register(
                 name="tier-identity",
                 metric="tiers_identical",
                 op=">=",
-                threshold_option="kernels.min_identity",
                 default_threshold=1.0,
             ),
             GateCheck(
@@ -861,7 +821,7 @@ register(
 
 
 # ======================================================================
-# serve-throughput (tools/bench_serve.py)
+# serve-throughput
 # ======================================================================
 def _serve_requests(rounds: int) -> list:
     """The per-round request bodies: a shared hot grid in round 0, then
@@ -972,14 +932,12 @@ register(
                 name="server-ok",
                 metric="server_ok",
                 op=">=",
-                threshold_option="serve.min_server_ok",
                 default_threshold=1.0,
             ),
             GateCheck(
                 name="request-failures",
                 metric="requests_failed",
                 op="<=",
-                threshold_option="serve.max_failed",
                 default_threshold=0.0,
             ),
             GateCheck(
@@ -999,100 +957,3 @@ register(
         ),
     )
 )
-
-
-# ======================================================================
-# Legacy-compatible helpers (the BENCH_exec.json record shape).
-# ======================================================================
-def exec_gate_records(cpus: int, min_parallel: float, min_cache: float) -> dict:
-    """The two gate entries of ``BENCH_exec.json``.
-
-    Every gate carries an explicit ``skipped`` field so downstream
-    tooling never has to infer "not checked" from a missing key: on a
-    single-CPU host the parallel gate is ``skipped: true`` with the
-    reason recorded, never silently green.
-    """
-    parallel_checked = cpus >= 2
-    return {
-        "parallel_gate": (
-            {"checked": True, "skipped": False, "min": min_parallel}
-            if parallel_checked
-            else {
-                "checked": False,
-                "skipped": True,
-                "reason": "single-CPU host",
-                "cpus": cpus,
-            }
-        ),
-        "cache_gate": {"checked": True, "skipped": False, "min": min_cache},
-    }
-
-
-def evaluate_exec_gates(
-    gates: dict, parallel_speedup: float, cache_speedup: float
-) -> list[str]:
-    """Apply the recorded gates to the measured speedups; returns the
-    failure messages (empty = pass).  A skipped gate never fails."""
-    failures = []
-    pg = gates["parallel_gate"]
-    if not pg["skipped"] and parallel_speedup < pg["min"]:
-        failures.append(
-            f"parallel speedup {parallel_speedup:.2f}x below the "
-            f"required {pg['min']:.2f}x"
-        )
-    cg = gates["cache_gate"]
-    if not cg["skipped"] and cache_speedup < cg["min"]:
-        failures.append(
-            f"warm-cache speedup {cache_speedup:.1f}x below the "
-            f"required {cg['min']:.1f}x"
-        )
-    return failures
-
-
-def exec_bench_record(result, *, cpus: int | None = None) -> dict:
-    """Compose the ``BENCH_exec.json`` record from an ``exec-speedup``
-    :class:`~.gates.GateResult` dict or object.
-
-    When the parallel check was skipped, the parallel numbers are still
-    recorded (they were measured) but carry ``"informational": true``
-    so nobody mistakes a 1-CPU "speedup" for an asserted result.
-    """
-    data = result.to_json() if hasattr(result, "to_json") else dict(result)
-    metrics = data["metrics"]
-    extra = data.get("extra", {})
-    checks = {c["name"]: c for c in data["checks"]}
-    parallel = checks.get("parallel", {})
-    cache = checks.get("cache", {})
-    host_cpus = cpus if cpus is not None else extra.get("cpus", 0)
-
-    from ..kernels import kernel_mode
-
-    record: dict[str, Any] = {
-        "workload": extra.get("workload", ""),
-        "platform": extra.get("platform", "skx-impi"),
-        "cpus": host_cpus,
-        "jobs": extra.get("jobs", 2),
-        "chunk_size": extra.get("chunk_size") or "auto",
-        "kernel": kernel_mode(),
-        "serial_seconds": round(metrics["serial_seconds"], 4),
-        "cold_cache_seconds": round(metrics["cold_cache_seconds"], 4),
-        "warm_cache_seconds": round(metrics["warm_cache_seconds"], 4),
-        "cache_speedup": round(metrics["cache_speedup"], 1),
-    }
-    if parallel.get("skipped"):
-        # Measured, not asserted: explicit informational marking.
-        record["parallel_seconds"] = round(metrics["parallel_seconds"], 4)
-        record["parallel_speedup"] = round(metrics["parallel_speedup"], 3)
-        record["parallel_informational"] = True
-        record["informational"] = ["parallel_seconds", "parallel_speedup"]
-    else:
-        record["parallel_seconds"] = round(metrics["parallel_seconds"], 4)
-        record["parallel_speedup"] = round(metrics["parallel_speedup"], 3)
-    record.update(
-        exec_gate_records(
-            host_cpus,
-            parallel.get("threshold", 1.1),
-            cache.get("threshold", 10.0),
-        )
-    )
-    return record

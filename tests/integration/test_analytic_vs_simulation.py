@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import StridedLayout, TimingPolicy, run_pingpong
-from repro.machine import get_platform
-from repro.machine.analytic import AnalyticModel, stride2_pattern
+from repro.machine import SchemePricer, get_platform, stride2_pattern
+from repro.machine.pricing import predicted_copying_slowdown
 
 POLICY = TimingPolicy(iterations=3, flush=True)
 
@@ -32,45 +32,45 @@ def plat(request):
 @pytest.mark.parametrize("nbytes", SIZES)
 class TestSchemesMatchModel:
     def test_reference(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("reference", nbytes, plat) == pytest.approx(
-            model.reference(nbytes), rel=0.02
+            pricer.reference(stride2_pattern(nbytes)), rel=0.02
         )
 
     def test_copying(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("copying", nbytes, plat) == pytest.approx(
-            model.copying(nbytes), rel=0.02
+            pricer.copying(stride2_pattern(nbytes)), rel=0.02
         )
 
     def test_vector(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("vector", nbytes, plat) == pytest.approx(
-            model.vector(nbytes), rel=0.02
+            pricer.vector(stride2_pattern(nbytes)), rel=0.02
         )
 
     def test_packing_vector(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("packing-vector", nbytes, plat) == pytest.approx(
-            model.packing_vector(nbytes), rel=0.02
+            pricer.packing_vector(stride2_pattern(nbytes)), rel=0.02
         )
 
     def test_packing_element(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("packing-element", nbytes, plat) == pytest.approx(
-            model.packing_element(nbytes), rel=0.02
+            pricer.packing_element(stride2_pattern(nbytes)), rel=0.02
         )
 
     def test_buffered(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("buffered", nbytes, plat) == pytest.approx(
-            model.buffered(nbytes), rel=0.02
+            pricer.buffered(stride2_pattern(nbytes)), rel=0.02
         )
 
     def test_onesided(self, plat, nbytes):
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         assert measured("onesided", nbytes, plat) == pytest.approx(
-            model.onesided(nbytes), rel=0.05
+            pricer.onesided(stride2_pattern(nbytes)), rel=0.05
         )
 
 
@@ -88,14 +88,13 @@ class TestModelInternals:
             stride2_pattern(12)
 
     def test_predicted_slowdown_near_three_on_skx(self):
-        model = AnalyticModel(get_platform("skx-impi"))
-        assert 3.0 <= model.predicted_copying_slowdown() <= 4.0
+        assert 3.0 <= predicted_copying_slowdown(get_platform("skx-impi")) <= 4.0
 
     def test_eager_vs_rendezvous_branch(self):
         plat = get_platform("skx-impi")
-        model = AnalyticModel(plat)
+        pricer = SchemePricer(plat)
         limit = plat.tuning.eager_limit
-        just_under = model.transport_time(limit)
-        just_over = model.transport_time(limit + 16)
+        just_under = pricer.transport_time(limit)
+        just_over = pricer.transport_time(limit + 16)
         # the rendezvous handshake + setup exceeds the bounce saving
         assert just_over > just_under

@@ -378,9 +378,29 @@ def test_perf_gate_unknown_gate_is_clean_error(capsys):
     assert "unknown gate" in capsys.readouterr().err
 
 
-def test_perf_option_parsing_rejects_malformed():
-    with pytest.raises(SystemExit):
-        main(["perf", "gate", "--gate", "kernel-speedup", "--option", "noequals"])
+def test_perf_option_parsing_rejects_malformed(capsys):
+    assert main(["perf", "gate", "--gate", "kernel-speedup",
+                 "--option", "noequals"]) == 2
+    assert "--option expects KEY=VALUE" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gate", "kernel-speedup", "--option", "kernels.min_flow_speedup=abc"],
+    # Resolved for every gate before the first (contention-overhead) runs.
+    ["--all", "--option", "kernels.min_flow_speedup=abc"],
+    ["--gate", "exec-speedup", "--option", "exec.repeats=three"],
+    ["--all", "--option", "=5"],
+])
+def test_perf_gate_bad_option_is_a_usage_error(argv, monkeypatch, capsys):
+    """One ``error:`` line and exit 2, before any workload starts."""
+    ran = []
+    monkeypatch.setattr("repro.perf.gates._run_workload",
+                        lambda *args: ran.append(args))
+    assert main(["perf", "gate", *argv]) == 2
+    out, err = capsys.readouterr()
+    assert ran == [] and out == ""
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_sweep_host_trace_flag(tmp_path, capsys):

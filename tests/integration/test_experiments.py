@@ -1,4 +1,5 @@
-"""Integration: every in-text experiment and ablation passes (quick mode)."""
+"""Integration: every in-text experiment and ablation passes, in quick
+and in full mode."""
 
 from __future__ import annotations
 
@@ -30,13 +31,20 @@ class TestRegistry:
     "exp_id", [e for e in EXPERIMENTS if not e.startswith("fig")]
 )
 class TestInTextExperiments:
-    def test_quick_run_passes(self, exp_id):
-        result = run_experiment(exp_id, quick=True)
+    @staticmethod
+    def check(exp_id, *, quick):
+        result = run_experiment(exp_id, quick=quick)
         assert isinstance(result, ExperimentResult)
         assert result.exp_id == exp_id
         assert result.passed is not False, result.render()
         assert result.summary
         assert result.render()
+
+    def test_quick_run_passes(self, exp_id):
+        self.check(exp_id, quick=True)
+
+    def test_full_run_passes(self, exp_id):
+        self.check(exp_id, quick=False)
 
 
 class TestFigureExperiment:

@@ -4,6 +4,8 @@ telemetry snapshot embedded per run."""
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.obs import host as host_mod
@@ -73,6 +75,32 @@ class TestEngine:
         )
         assert not result.passed
         assert "required >= 3" in result.failures()[0]
+
+    def test_check_without_option_key_has_a_fixed_threshold(self):
+        fixed = GateCheck(name="same", metric="same", op=">=", default_threshold=1.0)
+        result, _ = run_gate(
+            spec_of(lambda ctx: {"same": 0.0}, [fixed]), {"syn.min_same": "0"}
+        )
+        assert not result.passed
+        assert "required >= 1" in result.failures()[0]
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"syn.min_speed": "abc"}, "option syn.min_speed expects a number, got 'abc'"),
+            ({"syn.repeats": "two"}, "option syn.repeats expects an integer, got 'two'"),
+        ],
+    )
+    def test_malformed_option_fails_before_the_workload(self, options, message):
+        trail = []
+        spec = spec_of(
+            lambda ctx: trail.append("measure") or {"speed": 9.0},
+            [check()],
+            setup=lambda ctx: trail.append("setup"),
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_gate(spec, options)
+        assert trail == []
 
     def test_le_op_caps_regressions(self):
         result, _ = run_gate(
@@ -219,13 +247,15 @@ class TestContext:
 
 class TestBuiltinRegistry:
     def test_the_five_legacy_guards_are_registered(self):
-        assert set(gate_names()) >= {
-            "tracing-overhead",
-            "plan-speedup",
-            "exec-speedup",
+        assert gate_names() == [
             "contention-overhead",
+            "exec-speedup",
             "kernel-speedup",
-        }
+            "plan-speedup",
+            "serve-throughput",
+            "shm-overhead",
+            "tracing-overhead",
+        ]
         assert [s.name for s in all_gates()] == gate_names()
 
     def test_get_gate_unknown_lists_available(self):

@@ -1,14 +1,19 @@
-"""Regression tests for the structural leg of the tracing-overhead
-gate (satellite of the zero-cost-when-off contract) and the legacy
-tool shims that now front the gate registry."""
+"""Tests of the built-in gate specs: the structural leg of the
+tracing-overhead gate (the zero-cost-when-off contract) and the
+exec-speedup gate's single-CPU skip."""
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import repro.perf.gates as gates_mod
+from repro.perf import get_gate, run_gate
 from repro.perf.workloads import STRUCTURAL_CHECK
 
 REPO = Path(__file__).resolve().parents[2]
@@ -35,29 +40,60 @@ class TestStructuralCheck:
         assert proc.returncode == 0, proc.stderr
 
 
-class TestLegacyShims:
-    """The five tools/check_*.py entry points stay importable and keep
-    the module-level API older automation (and tests) rely on."""
+def run_exec_gate(monkeypatch, *, cpus, parallel_speedup, cache_speedup):
+    """The registered exec-speedup spec on a host with ``cpus`` usable
+    CPUs, with a stub measurement in place of the four sweeps."""
+    monkeypatch.setattr(gates_mod, "usable_cpus", lambda: cpus)
+    sample = {
+        "serial_seconds": 1.0,
+        "parallel_seconds": 1.0 / parallel_speedup,
+        "cold_cache_seconds": 1.1,
+        "warm_cache_seconds": 1.0 / cache_speedup,
+        "parallel_speedup": parallel_speedup,
+        "cache_speedup": cache_speedup,
+        "cache_overhead": 1.1,
+        "sweeps_identical": 1.0,
+    }
+    spec = dataclasses.replace(
+        get_gate("exec-speedup"), measure=lambda ctx: dict(sample)
+    )
+    result, _ = run_gate(spec, capture_host=False)
+    return result
 
-    def _load(self, name):
-        import importlib.util
 
-        spec = importlib.util.spec_from_file_location(name, REPO / "tools" / name)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-        return mod
+class TestExecSpeedupGate:
+    def test_single_cpu_skips_parallel_but_still_gates_cache(self, monkeypatch):
+        result = run_exec_gate(
+            monkeypatch, cpus=1, parallel_speedup=0.7, cache_speedup=2.0
+        )
+        checks = {c.name: c for c in result.checks}
+        assert checks["parallel"].skipped and checks["parallel"].passed is None
+        assert checks["parallel"].reason.startswith("single-CPU host")
+        # Measured, never asserted: the 1-CPU "speedup" is informational.
+        assert {"parallel_speedup", "parallel_seconds"} <= set(result.informational)
+        assert checks["identity"].passed is True
+        assert checks["cache"].passed is False
+        assert result.failures() == [checks["cache"].message()]
 
-    def test_all_five_shims_import_and_expose_main(self):
-        for name in (
-            "check_tracing_overhead.py",
-            "check_plan_overhead.py",
-            "check_contention_overhead.py",
-            "check_exec_speedup.py",
-            "bench_kernels.py",
-        ):
-            mod = self._load(name)
-            assert callable(mod.main)
-
-    def test_tracing_shim_reexports_structural_check(self):
-        mod = self._load("check_tracing_overhead.py")
-        assert mod.STRUCTURAL_CHECK == STRUCTURAL_CHECK
+    @pytest.mark.parametrize(
+        "cpus, parallel_speedup, cache_speedup, failed",
+        [
+            (1, 0.2, 50.0, set()),  # a skipped check never fails
+            (4, 0.9, 50.0, {"parallel"}),  # enforced on 2+ CPUs
+            (4, 1.8, 40.0, set()),
+        ],
+    )
+    def test_parallel_check_enforced_only_with_two_cpus(
+        self, monkeypatch, cpus, parallel_speedup, cache_speedup, failed
+    ):
+        result = run_exec_gate(
+            monkeypatch,
+            cpus=cpus,
+            parallel_speedup=parallel_speedup,
+            cache_speedup=cache_speedup,
+        )
+        assert {c.name for c in result.checks if c.passed is False} == failed
+        assert result.passed is (not failed)
+        single = cpus < 2
+        assert next(c for c in result.checks if c.name == "parallel").skipped is single
+        assert ("parallel_speedup" in result.informational) is single
