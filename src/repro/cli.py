@@ -47,15 +47,25 @@ def _executor_from(args: argparse.Namespace) -> Executor | None:
                     chunk_size=getattr(args, "chunk_size", None))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _int_at_least(text: str, minimum: int, requirement: str) -> int:
+    """Parse an argparse int that must be at least ``minimum``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _ring_ranks(text: str) -> int:
+    """argparse type for halo rank counts: a ring needs two ranks."""
+    return _int_at_least(text, 2, "at least 2 (a halo ring needs two ranks)")
 
 
 def _default_jobs() -> int:
@@ -137,16 +147,24 @@ def cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro experiment`` fabric flags as (flag, dest); only halo takes them.
+_FABRIC_FLAGS = (
+    ("--ranks", "ranks"),
+    ("--topology", "topology"),
+    ("--ranks-per-node", "ranks_per_node"),
+    ("--placement", "placement"),
+)
+
+
 def cmd_experiment(args: argparse.Namespace) -> int:
     kwargs = {}
-    if args.ranks is not None:
-        kwargs["ranks"] = args.ranks
-    if args.topology is not None:
-        kwargs["topology"] = args.topology
-    if getattr(args, "ranks_per_node", None) is not None:
-        kwargs["ranks_per_node"] = args.ranks_per_node
-    if getattr(args, "placement", None) is not None:
-        kwargs["placement"] = args.placement
+    for flag, dest in _FABRIC_FLAGS:
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        if args.experiment != "halo":
+            args.usage_error(f"argument {flag}: only the halo experiment takes it")
+        kwargs[dest] = value
     result = run_experiment(args.experiment, quick=args.quick, **kwargs)
     print(result.render())
     return 0 if result.passed is not False else 1
@@ -562,18 +580,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="run an in-text experiment / ablation")
     p.add_argument("experiment", choices=list(EXPERIMENTS))
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--ranks", type=int, default=None, metavar="N",
-                   help="simulated rank count (experiments that sweep ranks, e.g. halo)")
+    p.add_argument("--ranks", type=_ring_ranks, default=None, metavar="N",
+                   help="simulated rank count, at least 2 (halo only)")
     p.add_argument("--topology", choices=list(TOPOLOGY_KINDS), default=None,
-                   help="interconnect topology for fabric-aware experiments (e.g. halo)")
-    p.add_argument("--ranks-per-node", dest="ranks_per_node", type=int, default=None,
-                   metavar="N",
-                   help="ranks co-located per node (halo; >1 enables the intra-node "
-                        "shm transport for co-located pairs)")
+                   help="interconnect topology (halo only)")
+    p.add_argument("--ranks-per-node", dest="ranks_per_node", type=_positive_int,
+                   default=None, metavar="N",
+                   help="ranks co-located per node (halo only; >1 enables the "
+                        "intra-node shm transport for co-located pairs)")
     p.add_argument("--placement", choices=("block", "cyclic"), default=None,
-                   help="rank-to-node placement for fabric-aware experiments (halo)")
+                   help="rank-to-node placement (halo only)")
     add_exec_options(p)
-    p.set_defaults(fn=cmd_experiment)
+    p.set_defaults(fn=cmd_experiment, usage_error=p.error)
 
     p = sub.add_parser("claims", help="check the paper's claims on one platform")
     add_sweep_options(p)

@@ -39,6 +39,7 @@ Schemes (``HALO_SCHEMES``) map to the paper's families:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -281,7 +282,7 @@ def advise_face(spec: HaloSpec, platform, transport=None):
         face.free()
 
 
-def _resolve_auto(comm: Comm, spec: HaloSpec) -> str:
+def _resolve_auto(comm: Comm, spec: HaloSpec, memo: WeakKeyDictionary) -> str:
     """Price the face datatype on this platform and pick the cheapest
     delivering scheme — pure host-side arithmetic, no virtual time.
 
@@ -289,17 +290,25 @@ def _resolve_auto(comm: Comm, spec: HaloSpec) -> str:
     prices the faces on the shm transport, so on-node and off-node
     ranks of the same job may resolve ``auto`` to different schemes.
     A rank with mixed neighbors keeps the network pricing (its slower
-    face dominates the exchange)."""
+    face dominates the exchange).
+
+    The answer depends only on the platform and that regime, so it is
+    priced once per world and regime (at most twice per job) and
+    memoized in ``memo``, keyed on the world: a program object reused
+    across jobs prices each job's platform afresh."""
     world = comm.world
-    transport = None
+    on_node = False
     if world.shm_transport is not None:
         me = comm._world_rank(comm.rank)
         west = comm._world_rank((comm.rank - 1) % comm.size)
         east = comm._world_rank((comm.rank + 1) % comm.size)
         kinds = {world.transport_for(me, n).kind for n in (west, east)}
-        if kinds == {"shm"}:
-            transport = world.shm_transport
-    return advise_face(spec, world.platform, transport).chosen
+        on_node = kinds == {"shm"}
+    by_regime = memo.setdefault(world, {})
+    if on_node not in by_regime:
+        transport = world.shm_transport if on_node else None
+        by_regime[on_node] = advise_face(spec, world.platform, transport).chosen
+    return by_regime[on_node]
 
 
 def halo_program(spec: HaloSpec):
@@ -310,12 +319,17 @@ def halo_program(spec: HaloSpec):
     :class:`HaloRankResult`.  Needs ``nranks >= 2`` (the ring neighbors
     must be distinct processes).
     """
+    # ``auto``'s per-world, per-regime choices (see _resolve_auto).
+    auto_memo: WeakKeyDictionary = WeakKeyDictionary()
+
     def main(comm: Comm) -> HaloRankResult:
         if comm.size < 2:
             raise ValueError("halo exchange needs at least 2 ranks")
-        # ``auto`` resolves per platform at setup; every rank computes
-        # the same deterministic choice.
-        chosen = _resolve_auto(comm, spec) if spec.scheme == "auto" else spec.scheme
+        # ``auto`` resolves per platform and regime at setup; every rank
+        # of a regime gets the same deterministic choice.
+        chosen = (
+            _resolve_auto(comm, spec, auto_memo) if spec.scheme == "auto" else spec.scheme
+        )
         exchange = _EXCHANGES[chosen]
         faces = _Faces(comm, spec)
         grid = _make_grid(comm, spec)

@@ -21,13 +21,25 @@ cyclic once ``nranks > nnodes``) leave the network entirely: their
 face time shows up under the ``shm`` resource, and the per-regime
 advice table prices every scheme twice — over the network transport
 for off-node pairs and over the shm transport for on-node pairs —
-so ``auto`` can resolve differently per regime.
+so ``auto`` can resolve differently per regime.  Inside a run, ``auto``
+prices the face once per world and regime, not once per rank.
+
+The ten simulations (five schemes, each on the topology and on the
+flat fabric) are independent, so they fan out over the ambient
+executor's worker pool (:meth:`~repro.exec.Executor.starmap`); a
+serial executor (``--jobs 1``, or a library caller's default) runs
+them in-process.  Either way the rows come out in ``HALO_SCHEMES``
+order and bit-identical.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from ..core.halo import HALO_SCHEMES, HaloSpec, advise_face, halo_program
+from ..exec import current_executor
 from ..machine.network import default_shm_model
+from ..machine.platform import Platform
 from ..machine.registry import get_platform
 from ..mpi.costs import CostModel
 from ..mpi.runtime import run_mpi
@@ -38,6 +50,36 @@ from ..obs.critical import extract_critical_path
 from .base import ExperimentResult
 
 __all__ = ["run_halo_experiment"]
+
+
+@dataclass(frozen=True)
+class _HaloRun:
+    """What one simulation sends back to the experiment: plain data,
+    never the job or its recorder."""
+
+    virtual_time: float
+    #: Critical-path ``contention`` and ``shm`` time (traced runs only).
+    contention: float
+    shm: float
+    #: Ranks per delivering scheme, in rank order of first appearance.
+    chosen: dict[str, int]
+
+
+def _run_halo_job(
+    spec: HaloSpec, nranks: int, platform: Platform, traced: bool
+) -> _HaloRun:
+    """Simulate one halo job (a worker entry point, hence module-level:
+    the rank program is a closure and is built here, not shipped)."""
+    recorder = SpanRecorder() if traced else None
+    job = run_mpi(halo_program(spec), nranks=nranks, platform=platform, tracer=recorder)
+    contention = shm = 0.0
+    if recorder is not None:
+        by_resource = extract_critical_path(recorder, job.virtual_time).by_resource()
+        contention, shm = by_resource["contention"], by_resource["shm"]
+    chosen: dict[str, int] = {}
+    for rank_result in job.results:
+        chosen[rank_result.chosen] = chosen.get(rank_result.chosen, 0) + 1
+    return _HaloRun(job.virtual_time, contention, shm, chosen)
 
 
 def _ring_regimes(topo, nranks: int) -> tuple[int, int]:
@@ -66,8 +108,14 @@ def run_halo_experiment(
     ``ranks``/``topology``/``ranks_per_node``/``placement`` come
     straight from the CLI; the defaults give a 16-rank (8 quick)
     exchange on an oversubscribed fat-tree with every face off-node.
+    A ring needs ``ranks >= 2`` and nodes need ``ranks_per_node >= 1``;
+    anything less raises :class:`ValueError` before any job runs.
     """
     nranks = ranks if ranks is not None else (8 if quick else 16)
+    if nranks < 2:
+        raise ValueError(f"halo exchange needs at least 2 ranks, got {nranks}")
+    if ranks_per_node < 1:
+        raise ValueError(f"ranks_per_node must be >= 1, got {ranks_per_node}")
     kind = topology if topology is not None else "fat-tree"
     plat = get_platform(platform)
     spec = (
@@ -110,21 +158,23 @@ def run_halo_experiment(
     contention_found = False
     shm_found = False
     auto_choices: dict[str, int] = {}
-    for scheme in HALO_SCHEMES:
-        program = halo_program(spec.with_scheme(scheme))
-        flat_job = run_mpi(program, nranks=nranks, platform=plat)
-        recorder = SpanRecorder()
-        topo_job = run_mpi(program, nranks=nranks, platform=plat_topo, tracer=recorder)
+    # Each scheme's traced topology run is submitted before its flat
+    # run: the topology runs cost several times more, so queuing them
+    # first keeps the pool's last wave short.
+    runs = current_executor().starmap(
+        _run_halo_job,
+        [
+            (spec.with_scheme(scheme), nranks, job_plat, traced)
+            for scheme in HALO_SCHEMES
+            for job_plat, traced in ((plat_topo, True), (plat, False))
+        ],
+    )
+    for scheme, topo_run, flat_run in zip(HALO_SCHEMES, runs[0::2], runs[1::2]):
         if scheme == "auto":
-            for rank_result in topo_job.results:
-                auto_choices[rank_result.chosen] = (
-                    auto_choices.get(rank_result.chosen, 0) + 1
-                )
-        path = extract_critical_path(recorder, topo_job.virtual_time)
-        by_resource = path.by_resource()
-        contention = by_resource["contention"]
-        shm_time = by_resource["shm"]
-        total = topo_job.virtual_time
+            auto_choices = topo_run.chosen
+        contention = topo_run.contention
+        shm_time = topo_run.shm
+        total = topo_run.virtual_time
         share = contention / total if total else 0.0
         shm_share = shm_time / total if total else 0.0
         if contention > 0.0:
@@ -132,14 +182,14 @@ def run_halo_experiment(
         if shm_time > 0.0:
             shm_found = True
         data[scheme] = {
-            "flat": flat_job.virtual_time,
-            "topology": topo_job.virtual_time,
+            "flat": flat_run.virtual_time,
+            "topology": topo_run.virtual_time,
             "contention": contention,
             "shm": shm_time,
         }
         lines.append(
-            f"  {scheme:16s} {flat_job.virtual_time:>12.4g} {topo_job.virtual_time:>12.4g} "
-            f"{topo_job.virtual_time / flat_job.virtual_time:>6.2f}x "
+            f"  {scheme:16s} {flat_run.virtual_time:>12.4g} {topo_run.virtual_time:>12.4g} "
+            f"{topo_run.virtual_time / flat_run.virtual_time:>6.2f}x "
             f"{contention * 1e6:>10.2f}us {share:>6.1%} {shm_share:>6.1%}"
         )
 

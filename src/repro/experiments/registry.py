@@ -52,9 +52,7 @@ _RUNNERS: dict[str, Callable[..., ExperimentResult]] = {
     "irregular": run_irregular_spacing_experiment,
     "blocksize": run_block_size_experiment,
     "multiproc": run_multi_process_experiment,
-    "model": lambda **kw: run_slowdown_prediction_experiment(
-        quick=kw.get("quick", False)
-    ),
+    "model": run_slowdown_prediction_experiment,
     "ablation-threshold": run_threshold_ablation_experiment,
     "noise": run_noise_experiment,
     "halo": run_halo_experiment,
@@ -69,9 +67,10 @@ def list_experiments() -> list[str]:
 
 
 def run_experiment(exp_id: str, *, quick: bool = False, **kwargs) -> ExperimentResult:
-    """Run any experiment by id."""
+    """Run any experiment by id.  ``kwargs`` go to its runner, so an
+    option the experiment does not take raises :class:`TypeError`."""
     if exp_id in FIGURES:
-        return run_figure_experiment(exp_id, quick=quick)
+        return run_figure_experiment(exp_id, quick=quick, **kwargs)
     try:
         runner = _RUNNERS[exp_id]
     except KeyError:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.halo import HALO_SCHEMES, HaloSpec, halo_program
+from repro.core.halo import HALO_SCHEMES, HaloSpec, advise_face, halo_program
+from repro.machine import default_shm_model, get_platform
 from repro.mpi import run_mpi
 from repro.net import flat, make_topology
 
@@ -92,3 +93,60 @@ class TestHaloPricing:
         b = run_mpi(program, nranks=8, platform=platform)
         assert a.virtual_time == b.virtual_time
         assert [r.time for r in a.results] == [r.time for r in b.results]
+
+
+class TestAutoPricedOncePerWorld:
+    """``auto`` prices the face once per world and transport regime, not
+    once per rank, and a program reused across worlds prices each anew.
+    Serial only: pool workers would keep their own call counts."""
+
+    #: The halo experiment's quick face.
+    QUICK = HaloSpec(scheme="auto", nx=64, ny=32, ghost=2, iterations=2)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every ``advise_face`` call ``auto`` makes, by transport."""
+        import repro.core.halo as halo_mod
+
+        seen = []
+        real = halo_mod.advise_face
+
+        def counting(spec, platform, transport=None):
+            seen.append(transport)
+            return real(spec, platform, transport)
+
+        monkeypatch.setattr(halo_mod, "advise_face", counting)
+        return seen
+
+    def test_flat_platform_prices_once(self, skx, calls):
+        results = run_mpi(halo_program(self.QUICK), nranks=16, platform=skx).results
+        assert len(calls) == 1
+        assert {r.chosen for r in results} == {advise_face(self.QUICK, skx).chosen}
+
+    def test_each_regime_prices_once(self, skx, calls):
+        """The ranking-flip configuration: on-node and off-node ranks
+        resolve differently from one pricing per regime."""
+        topo = make_topology("fat-tree", 64, ranks_per_node=16, placement="block")
+        plat = skx.with_topology(topo).with_shm(default_shm_model())
+        results = run_mpi(halo_program(self.QUICK), nranks=64, platform=plat).results
+        assert len(calls) <= 2
+        assert len({r.chosen for r in results}) >= 2
+
+    def test_halo_64_experiment_prices_once_per_auto_world(self, calls):
+        """The benchmark's halo shape (64 ranks, fat-tree, 4 per node,
+        cyclic; quick faces): one pricing per auto job, two in all."""
+        from repro.experiments.halo import run_halo_experiment
+
+        result = run_halo_experiment(quick=True, ranks=64)
+        assert result.data["auto_choices"] == {"copying": 64}
+        assert calls == [None, None]
+
+    def test_reused_program_does_not_leak_across_worlds(self):
+        spec = HaloSpec(scheme="auto", nx=256, ny=64, ghost=4, iterations=1)
+        impi, mvapich = get_platform("skx-impi"), get_platform("skx-mvapich2")
+        assert advise_face(spec, impi).chosen == "copying"
+        assert advise_face(spec, mvapich).chosen == "vector"
+        program = halo_program(spec)
+        for plat, want in ((impi, "copying"), (mvapich, "vector"), (impi, "copying")):
+            results = run_mpi(program, nranks=2, platform=plat).results
+            assert {r.chosen for r in results} == {want}

@@ -147,9 +147,24 @@ def test_jobs_defaults_to_one_worker_per_cpu():
     ["validate", "--jobs", "0"],
     ["serve", "--jobs", "0"],
     ["serve", "--chunk-size", "0"],
+    # A halo ring needs two ranks, and a node at least one.
+    ["experiment", "halo", "--ranks", "0"],
+    ["experiment", "halo", "--ranks", "-4"],
+    ["experiment", "halo", "--ranks", "1"],
+    ["experiment", "halo", "--ranks-per-node", "0"],
+    # The fabric flags belong to halo alone.
+    ["experiment", "eager", "--ranks", "4"],
+    ["experiment", "fig1", "--topology", "torus2d"],
 ])
-def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys):
-    """Exit 2 with one argparse error line, not a ValueError traceback."""
+def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeypatch):
+    """Exit 2 with one argparse error line naming the flag, before
+    anything runs -- not a traceback."""
+    import repro.cli as cli_mod
+
+    def forbidden(*args, **kwargs):
+        pytest.fail("ran an experiment")
+
+    monkeypatch.setattr(cli_mod, "run_experiment", forbidden)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -157,7 +172,21 @@ def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys):
     assert "Traceback" not in err
     last = err.strip().splitlines()[-1]
     assert "error: argument" in last
-    assert "--jobs" in last or "--chunk-size" in last
+    flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
+    assert flag in last
+
+
+def test_halo_with_jobs_matches_serial(capsys):
+    """The halo experiment's fan-out over the default pool and over
+    --jobs 2 prints exactly what --jobs 1 prints."""
+    base = ["experiment", "halo", "--quick", "--no-cache"]
+    assert main(base + ["--jobs", "1"]) == 0
+    serial_out = capsys.readouterr().out
+    assert "PASS" in serial_out
+    assert main(base) == 0
+    assert capsys.readouterr().out == serial_out
+    assert main(base + ["--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial_out
 
 
 def test_sweep_reruns_hit_the_cache(capsys):

@@ -12,6 +12,7 @@ from repro.experiments import (
     run_figure_experiment,
 )
 from repro.experiments.base import ExperimentResult
+from repro.experiments.halo import run_halo_experiment
 
 
 class TestRegistry:
@@ -45,6 +46,52 @@ class TestInTextExperiments:
 
     def test_full_run_passes(self, exp_id):
         self.check(exp_id, quick=False)
+
+
+class TestHaloFanOut:
+    """The halo experiment's ten simulations fan out over the ambient
+    executor's pool, and the result is exactly the in-process one."""
+
+    @pytest.mark.parametrize("kwargs", [
+        {"quick": True},
+        # Block placement at 4 per node: shm rows and both regimes.
+        {"quick": True, "ranks": 16, "ranks_per_node": 4, "placement": "block"},
+    ])
+    def test_pool_matches_serial(self, kwargs):
+        import multiprocessing
+
+        from repro.exec import Executor, using_executor
+
+        serial = run_halo_experiment(**kwargs)
+        before = set(multiprocessing.active_children())
+        with Executor(jobs=2) as ex, using_executor(ex):
+            pooled = run_halo_experiment(**kwargs)
+            assert set(multiprocessing.active_children()) - before  # workers ran it
+        assert set(multiprocessing.active_children()) <= before
+        assert pooled.details == serial.details
+        assert pooled.data == serial.data
+        if "placement" in kwargs:
+            assert set(serial.data["regimes"]) == {"on-node", "off-node"}
+            assert all(row["shm"] > 0.0 for row in serial.data["schemes"].values())
+
+    @pytest.mark.parametrize("kwargs", [
+        {"ranks": 1}, {"ranks": 0}, {"ranks": -4}, {"ranks_per_node": 0},
+    ])
+    def test_bad_rank_arguments_fail_before_any_job(self, kwargs, monkeypatch):
+        import repro.experiments.halo as halo_mod
+
+        def forbidden(*args, **kw):
+            pytest.fail("built a topology or submitted a job")
+
+        monkeypatch.setattr(halo_mod, "make_topology", forbidden)
+        monkeypatch.setattr(halo_mod, "current_executor", forbidden)
+        with pytest.raises(ValueError, match="ranks"):
+            run_halo_experiment(quick=True, **kwargs)
+
+    def test_figures_and_other_experiments_reject_fabric_options(self):
+        for exp_id in ("fig1", "eager", "model"):
+            with pytest.raises(TypeError, match="topology"):
+                run_experiment(exp_id, quick=True, topology="torus2d")
 
 
 class TestFigureExperiment:
