@@ -68,6 +68,17 @@ def _ring_ranks(text: str) -> int:
     return _int_at_least(text, 2, "at least 2 (a halo ring needs two ranks)")
 
 
+def _output_path(text: str) -> str:
+    """argparse type for a file the command writes: its directory must
+    exist, so a bad path fails before the work instead of after it."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"directory {str(path.parent)!r} does not exist")
+    return text
+
+
 def _default_jobs() -> int:
     """One worker per CPU this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -157,14 +168,11 @@ _FABRIC_FLAGS = (
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    kwargs = {}
-    for flag, dest in _FABRIC_FLAGS:
-        value = getattr(args, dest)
-        if value is None:
-            continue
-        if args.experiment != "halo":
-            args.usage_error(f"argument {flag}: only the halo experiment takes it")
-        kwargs[dest] = value
+    kwargs = {
+        dest: getattr(args, dest)
+        for _, dest in _FABRIC_FLAGS
+        if getattr(args, dest) is not None
+    }
     result = run_experiment(args.experiment, quick=args.quick, **kwargs)
     print(result.render())
     return 0 if result.passed is not False else 1
@@ -544,18 +552,19 @@ def build_parser() -> argparse.ArgumentParser:
                             "automatically; chunking never changes results)")
         p.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk result store (see 'repro cache')")
-        p.add_argument("--host-trace", metavar="PATH", default=None,
+        p.add_argument("--host-trace", metavar="PATH", type=_output_path, default=None,
                        help="record host-side telemetry (worker lanes, store "
-                            "IO, kernel tiers) and write a Chrome trace to PATH")
+                            "IO, gather/scatter paths) and write a Chrome "
+                            "trace to PATH")
 
     def add_sweep_options(p: argparse.ArgumentParser, with_platform: bool = True) -> None:
         if with_platform:
             p.add_argument("--platform", default="skx-impi", choices=list_platforms())
         p.add_argument("--quick", action="store_true", help="small grid, few iterations")
-        p.add_argument("--min-bytes", type=int, default=1_000)
-        p.add_argument("--max-bytes", type=int, default=1_000_000_000)
-        p.add_argument("--per-decade", type=int, default=2)
-        p.add_argument("--iterations", type=int, default=20)
+        p.add_argument("--min-bytes", type=_positive_int, default=1_000)
+        p.add_argument("--max-bytes", type=_positive_int, default=1_000_000_000)
+        p.add_argument("--per-decade", type=_positive_int, default=2)
+        p.add_argument("--iterations", type=_positive_int, default=20)
         p.add_argument("--no-flush", action="store_true", help="skip inter-ping-pong cache flush")
         p.add_argument("--schemes", nargs="*", choices=list(ALL_SCHEME_KEYS), default=None)
         p.add_argument("--verbose", "-v", action="store_true")
@@ -563,18 +572,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run the sweep on a 'repro serve' daemon instead "
                             "of locally (results are bit-identical)")
         add_exec_options(p)
+        p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("sweep", help="run a scheme x size sweep")
     add_sweep_options(p)
     p.add_argument("--table", choices=("time", "bandwidth", "slowdown"), default="slowdown")
-    p.add_argument("--out", help="save the sweep as JSON")
+    p.add_argument("--out", type=_output_path, help="save the sweep as JSON")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("figure", help="regenerate a paper figure")
     p.add_argument("figure", choices=sorted(FIGURES))
     add_sweep_options(p, with_platform=False)
     p.add_argument("--no-charts", action="store_true")
-    p.add_argument("--out", help="save the sweep as JSON")
+    p.add_argument("--out", type=_output_path, help="save the sweep as JSON")
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("experiment", help="run an in-text experiment / ablation")
@@ -600,8 +610,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="print the protocol timeline of one ping-pong")
     p.add_argument("scheme", choices=list(ALL_SCHEME_KEYS))
     p.add_argument("--platform", default="skx-impi", choices=list_platforms())
-    p.add_argument("--bytes", type=int, default=1_000_000)
-    p.add_argument("--json", metavar="PATH", default=None,
+    p.add_argument("--bytes", type=_positive_int, default=1_000_000)
+    p.add_argument("--json", metavar="PATH", type=_output_path, default=None,
                    help="also write the Chrome trace_event JSON to PATH")
     p.add_argument("--chrome", action="store_true",
                    help="print only the raw Chrome trace JSON (for piping)")
@@ -614,7 +624,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="name the bounding resource on each scheme's critical path",
     )
     p.add_argument("--platform", default="skx-impi", choices=list_platforms())
-    p.add_argument("--bytes", type=int, default=1_000_000)
+    p.add_argument("--bytes", type=_positive_int, default=1_000_000)
     p.add_argument("--schemes", nargs="*", choices=list(ALL_SCHEME_KEYS), default=None)
     p.add_argument("--path", action="store_true",
                    help="also print the full critical-path segment table")
@@ -627,11 +637,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="price every send scheme for a layout and recommend the cheapest",
     )
     p.add_argument("--platform", default="skx-impi", choices=list_platforms())
-    p.add_argument("--bytes", type=int, default=1_000_000)
+    p.add_argument("--bytes", type=_positive_int, default=1_000_000)
     p.add_argument("--datatype", choices=("vector", "subarray", "indexed"),
                    default="vector",
                    help="derived-type family describing the layout")
-    p.add_argument("--blocklen", type=int, default=1, metavar="DOUBLES")
+    p.add_argument("--blocklen", type=_positive_int, default=1, metavar="DOUBLES")
     p.add_argument("--stride", type=int, default=None, metavar="DOUBLES",
                    help="block-to-block stride (default: 2 x blocklen)")
     p.add_argument("--jitter", type=float, default=0.5,
@@ -646,7 +656,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--placement", choices=("block", "cyclic"), default=None,
                    help="rank-to-node placement deciding the pair's co-location "
                         "(default block)")
-    p.set_defaults(fn=cmd_advise)
+    p.set_defaults(fn=cmd_advise, usage_error=p.error)
 
     p = sub.add_parser("compare", help="compare two saved sweep JSON files")
     p.add_argument("sweep_a")
@@ -655,13 +665,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="cross-check payload delivery across all schemes")
     p.add_argument("--platform", default="skx-impi", choices=list_platforms())
-    p.add_argument("--bytes", type=int, default=65_536)
+    p.add_argument("--bytes", type=_positive_int, default=65_536)
     add_exec_options(p)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("report", help="regenerate EXPERIMENTS.md")
     p.add_argument("--quick", action="store_true")
-    p.add_argument("--out", default="EXPERIMENTS.md")
+    p.add_argument("--out", type=_output_path, default="EXPERIMENTS.md")
     p.add_argument("--verbose", "-v", action="store_true")
     add_exec_options(p)
     p.set_defaults(fn=cmd_report)
@@ -719,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "exec.min_cache_speedup=5 or kernels.repeats=3")
         pp.add_argument("--ledger-dir", default=None,
                         help="ledger root (default: <cache dir>/perf-ledger)")
-        pp.add_argument("--host-trace", metavar="PATH", default=None,
+        pp.add_argument("--host-trace", metavar="PATH", type=_output_path, default=None,
                         help="write the per-gate host telemetry as one "
                              "Chrome trace to PATH")
 
@@ -765,8 +775,24 @@ def _write_host_trace(path: str) -> None:
     print(f"wrote host Chrome trace to {path}", file=sys.stderr)
 
 
+def _check_usage(args: argparse.Namespace) -> None:
+    """Cross-flag rules no single argparse type can express, checked
+    before the command starts any work; a violation exits 2."""
+    if getattr(args, "max_bytes", None) is not None and args.max_bytes < args.min_bytes:
+        args.usage_error(f"argument --max-bytes: must be at least --min-bytes "
+                         f"({args.min_bytes}), got {args.max_bytes}")
+    if args.command == "advise" and args.stride is not None and args.stride < args.blocklen:
+        args.usage_error(f"argument --stride: must be at least --blocklen "
+                         f"({args.blocklen}), got {args.stride}")
+    if args.command == "experiment" and args.experiment != "halo":
+        for flag, dest in _FABRIC_FLAGS:
+            if getattr(args, dest) is not None:
+                args.usage_error(f"argument {flag}: only the halo experiment takes it")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _check_usage(args)
     executor = _executor_from(args)
     # --host-trace on execution commands captures the whole command;
     # 'repro perf' scopes captures per gate and ignores this path.

@@ -12,7 +12,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..kernels import kernel_mode
 from ..sim.sync import SimCondition
 from .buffers import SimBuffer, as_simbuffer
 from .datatypes import BYTE, Datatype, from_numpy_dtype, pack_bytes, unpack_bytes
@@ -223,7 +222,7 @@ class Comm:
                              "p2p.staging", rank=rank, category="staging",
                              parent=envelope, nbytes=nbytes,
                              datatype=plan.datatype_name, chunks=chunks,
-                             plan_reuse=plan.reuses, kernel=kernel_mode())
+                             plan_reuse=plan.reuses)
         op = SendOperation(
             self.world,
             self.process,

@@ -30,11 +30,10 @@ from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from ...kernels import batch_table_for, scalar_mode
 from ...machine.access import AccessPattern, contiguous_pattern
 from ...obs import host as _host
 from ..errors import DatatypeError, PackError
-from .runs import Run, combine_patterns
+from .runs import IrregularRuns, Run, combine_patterns, expand_runs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ...obs.metrics import MetricsRegistry
@@ -53,10 +52,10 @@ __all__ = [
 ]
 
 #: Multi-run plans with fewer runs than this use the per-run loop: the
-#: batch table's fixed setup/indexing cost is amortized over runs, not
-#: bytes, so at few runs the loop's handful of vectorized strided
+#: whole-plan table's fixed setup/indexing cost is amortized over runs,
+#: not bytes, so at few runs the loop's handful of vectorized strided
 #: copies wins (measured ~2.5x at 4 runs; crossover near 16; the table
-#: is ~100x faster by 4096 runs).  Both tiers are bit-identical, so the
+#: is ~10x faster by 4096 runs).  Both paths move the same bytes, so the
 #: cutoff affects wall-clock only.
 BATCH_RUN_CUTOFF = 16
 
@@ -120,9 +119,9 @@ class TransferPlan:
         #: Cache hits served by this plan (0 on a cold compile) — the
         #: span attribute that records plan reuse.
         self.reuses = 0
-        #: Lazily compiled whole-plan block table for the batched
-        #: gather/scatter kernel (multi-run plans only).
-        self._batch = None
+        #: Lazily built whole-plan block table: every block of every run
+        #: as one IrregularRuns (plans of BATCH_RUN_CUTOFF runs or more).
+        self._batch: IrregularRuns | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -161,12 +160,12 @@ class TransferPlan:
     # ------------------------------------------------------------------
     # Byte movement
     # ------------------------------------------------------------------
-    def _batch_table(self):
-        """The compiled whole-plan block table (built once, reused for
-        every batched transfer of this plan)."""
+    def _batch_table(self) -> IrregularRuns:
+        """The whole-plan block table (built once, reused for every
+        batched transfer of this plan)."""
         batch = self._batch
         if batch is None:
-            batch = self._batch = batch_table_for(self.runs)
+            batch = self._batch = IrregularRuns(*expand_runs(self.runs))
         return batch
 
     def gather(self, src_b: np.ndarray, dst_b: np.ndarray, dst_offset: int = 0) -> int:
@@ -175,16 +174,15 @@ class TransferPlan:
 
         Single-run plans (the common case after coalescing) go straight
         to the run's own vectorized movement; multi-run plans with at
-        least :data:`BATCH_RUN_CUTOFF` runs use the batched whole-plan
-        kernel, and smaller ones keep the per-run loop (which also
-        serves as the ``REPRO_SCALAR_KERNELS`` fallback).
+        least :data:`BATCH_RUN_CUTOFF` runs move every block through one
+        whole-plan table, and smaller ones keep the per-run loop.
         """
         runs = self.runs
         if len(runs) == 1:
             if _host.active is not None:
                 _host.active.metrics.counter("kernel.gather.single_run").inc()
             return runs[0].gather(src_b, dst_b, dst_offset)
-        if scalar_mode() or len(runs) < BATCH_RUN_CUTOFF:
+        if len(runs) < BATCH_RUN_CUTOFF:
             if _host.active is not None:
                 _host.active.metrics.counter("kernel.gather.scalar").inc()
             written = dst_offset
@@ -202,7 +200,7 @@ class TransferPlan:
             if _host.active is not None:
                 _host.active.metrics.counter("kernel.scatter.single_run").inc()
             return runs[0].scatter(src_b, src_offset, dst_b)
-        if scalar_mode() or len(runs) < BATCH_RUN_CUTOFF:
+        if len(runs) < BATCH_RUN_CUTOFF:
             if _host.active is not None:
                 _host.active.metrics.counter("kernel.scatter.scalar").inc()
             consumed = src_offset

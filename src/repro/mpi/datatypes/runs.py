@@ -30,6 +30,7 @@ __all__ = [
     "StridedRuns",
     "IrregularRuns",
     "coalesce",
+    "expand_runs",
     "replicate",
     "runs_from_blocks",
     "combine_patterns",
@@ -264,14 +265,21 @@ class IrregularRuns:
 
     def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
         # Vectorize per distinct block length: one fancy-indexing gather
-        # per length class instead of a Python loop per block.
+        # per length class instead of a Python loop per block.  Single
+        # bytes take a 1-D index, skipping the (n, 1) broadcast.
         for span, offs, dsts in self._length_classes():
-            dst[(dsts + dst_offset)[:, None] + span] = src[offs[:, None] + span]
+            if span.size == 1:
+                dst[dsts + dst_offset] = src[offs]
+            else:
+                dst[(dsts + dst_offset)[:, None] + span] = src[offs[:, None] + span]
         return self._total
 
     def scatter(self, src: np.ndarray, src_offset: int, dst: np.ndarray) -> int:
         for span, offs, dsts in self._length_classes():
-            dst[offs[:, None] + span] = src[(dsts + src_offset)[:, None] + span]
+            if span.size == 1:
+                dst[offs] = src[dsts + src_offset]
+            else:
+                dst[offs[:, None] + span] = src[(dsts + src_offset)[:, None] + span]
         return self._total
 
     def access_pattern(self) -> AccessPattern:
@@ -348,6 +356,28 @@ def coalesce(runs: list[Run]) -> list[Run]:
     return merged
 
 
+def expand_runs(runs: Sequence[Run]) -> tuple[np.ndarray, np.ndarray]:
+    """Every block of a run list as (offsets, lengths) int64 arrays, in
+    pack order.  ``IrregularRuns(*expand_runs(runs))`` moves the same
+    bytes as the runs one at a time, in one pass per block length."""
+    offsets_parts: list[np.ndarray] = []
+    lengths_parts: list[np.ndarray] = []
+    for run in runs:
+        if isinstance(run, ContigRun):
+            offsets_parts.append(np.asarray([run.offset], dtype=np.int64))
+            lengths_parts.append(np.asarray([run.length], dtype=np.int64))
+        elif isinstance(run, StridedRuns):
+            offsets_parts.append(run.offset + run.stride * np.arange(run.count, dtype=np.int64))
+            lengths_parts.append(np.full(run.count, run.blocklen, dtype=np.int64))
+        else:
+            offsets_parts.append(run.offsets)
+            lengths_parts.append(run.lengths)
+    if not offsets_parts:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    return np.concatenate(offsets_parts), np.concatenate(lengths_parts)
+
+
 def replicate(runs: list[Run], count: int, extent: int) -> list[Run]:
     """The run list of ``count`` consecutive datatype elements.
 
@@ -372,20 +402,7 @@ def replicate(runs: list[Run], count: int, extent: int) -> list[Run]:
         return coalesce(out)
     # Vectorized fold: expand every run to offset/length arrays once,
     # then tile across replicas.
-    offsets_parts: list[np.ndarray] = []
-    lengths_parts: list[np.ndarray] = []
-    for run in runs:
-        if isinstance(run, ContigRun):
-            offsets_parts.append(np.asarray([run.offset], dtype=np.int64))
-            lengths_parts.append(np.asarray([run.length], dtype=np.int64))
-        elif isinstance(run, StridedRuns):
-            offsets_parts.append(run.offset + run.stride * np.arange(run.count, dtype=np.int64))
-            lengths_parts.append(np.full(run.count, run.blocklen, dtype=np.int64))
-        else:
-            offsets_parts.append(run.offsets)
-            lengths_parts.append(run.lengths)
-    base_offsets = np.concatenate(offsets_parts)
-    base_lengths = np.concatenate(lengths_parts)
+    base_offsets, base_lengths = expand_runs(runs)
     shifts = extent * np.arange(count, dtype=np.int64)
     all_offsets = (shifts[:, None] + base_offsets[None, :]).reshape(-1)
     all_lengths = np.tile(base_lengths, count)

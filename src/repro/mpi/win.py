@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from ..kernels import kernel_mode
 from ..sim.sync import SimBarrier
 from .buffers import SimBuffer, as_simbuffer
 from .datatypes import BYTE, Datatype
@@ -182,8 +181,7 @@ class Win:
                                         rank=comm.process.rank, category="staging",
                                         nbytes=nbytes,
                                         chunks=cost.staging_chunks(nbytes),
-                                        plan_reuse=origin_plan.reuses,
-                                        kernel=kernel_mode())
+                                        plan_reuse=origin_plan.reuses)
         payload = comm._build_payload(origin_buf, origin_plan)
         transport = comm.world.transport_for(
             comm.process.rank, comm._world_rank(target_rank)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..kernels import max_min_rates_batched, scalar_mode
 from ..obs import host as _host
 from .routing import Router
 from .topology import Topology
@@ -34,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..sim.kernel import Kernel
     from ..sim.trace import Tracer
 
-__all__ = ["Flow", "FlowEngine", "max_min_rates", "max_min_rates_scalar", "LINK_UTIL_EVENT"]
+__all__ = ["Flow", "FlowEngine", "max_min_rates", "LINK_UTIL_EVENT"]
 
 #: Flat-trace category carrying per-link utilization samples (exported
 #: as Chrome counter tracks, like matching-queue depths).
@@ -64,23 +63,9 @@ def max_min_rates(
     round-off), and each flow is either at its demand cap or crosses at
     least one saturated link — the max-min bottleneck condition.
 
-    Dispatches to the vectorized solver in :mod:`repro.kernels.flows`
-    unless the scalar escape hatch is active; the two are bit-identical
-    (same filling rounds, same IEEE-754 arithmetic — pinned exactly by
-    the differential tests).
+    A plain Python loop: fabric jobs re-solve a few dozen flows at a
+    time, where per-round numpy overhead costs more than it saves.
     """
-    if scalar_mode():
-        return max_min_rates_scalar(routes, demands, capacities)
-    return max_min_rates_batched(routes, demands, capacities)
-
-
-def max_min_rates_scalar(
-    routes: Sequence[tuple[int, ...]],
-    demands: Sequence[float],
-    capacities: Sequence[float],
-) -> list[float]:
-    """The original interpreted progressive-filling loop — the
-    differential baseline for the vectorized solver."""
     n = len(routes)
     if len(demands) != n:
         raise ValueError("routes and demands must align")

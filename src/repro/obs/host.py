@@ -10,7 +10,8 @@ latency histograms, covering the layers that burn real CPU seconds:
   process), chunk dispatch/complete events, a queue-depth gauge;
 * the **result store** — hit/miss/write counters and IO latency
   histograms;
-* **kernel dispatch** — batched-vs-scalar tier counts per hot loop;
+* **plan gather/scatter** — which path each transfer took (a single
+  run, the per-run loop, or the whole-plan table);
 * the **flow engine** — re-solve counts and solve-time histograms.
 
 Like the virtual-time flight recorder (PR 1), host telemetry is

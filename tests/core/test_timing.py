@@ -81,35 +81,3 @@ class TestSummarize:
     def test_property_tight_data_never_fully_dismissed(self, times):
         stats = summarize(times, dismiss_sigma=3.0)
         assert stats.n - stats.dismissed >= 1
-
-
-class TestScalarBatchedDifferential:
-    """``summarize`` dispatches to a vectorized twin; every statistic
-    it reports must be *exactly* what the scalar loop computes (the
-    batched sums accumulate in the same left-to-right order)."""
-
-    @given(
-        times=st.lists(st.floats(1e-9, 1e3), min_size=1, max_size=50),
-        sigma=st.one_of(st.none(), st.floats(0.25, 4.0)),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_all_fields_exactly_equal(self, times, sigma):
-        from repro.kernels import forced_scalar
-
-        batched = summarize(times, dismiss_sigma=sigma)
-        with forced_scalar():
-            scalar = summarize(times, dismiss_sigma=sigma)
-        assert batched == scalar  # TimingStats equality: float ==
-        assert batched.mean.hex() == scalar.mean.hex()
-        assert batched.std.hex() == scalar.std.hex()
-        assert batched.kept_mean.hex() == scalar.kept_mean.hex()
-
-    def test_outlier_dismissal_identical(self):
-        from repro.kernels import forced_scalar
-
-        times = [1.0] * 19 + [100.0]
-        batched = summarize(times, dismiss_sigma=1.0)
-        with forced_scalar():
-            scalar = summarize(times, dismiss_sigma=1.0)
-        assert batched.dismissed == scalar.dismissed == 1
-        assert batched.kept_mean.hex() == scalar.kept_mean.hex()

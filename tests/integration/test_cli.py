@@ -155,6 +155,30 @@ def test_jobs_defaults_to_one_worker_per_cpu():
     # The fabric flags belong to halo alone.
     ["experiment", "eager", "--ranks", "4"],
     ["experiment", "fig1", "--topology", "torus2d"],
+    # Sizes, counts and block lengths must be positive.
+    ["trace", "vector", "--bytes", "-8"],
+    ["trace", "vector", "--bytes", "0"],
+    ["explain", "--bytes", "0"],
+    ["advise", "--bytes", "0"],
+    ["validate", "--bytes", "0"],
+    ["advise", "--blocklen", "0"],
+    ["sweep", "--min-bytes", "0"],
+    ["sweep", "--per-decade", "0"],
+    ["sweep", "--iterations", "0"],
+    # Ranges must not be inverted.
+    ["sweep", "--min-bytes", "5000", "--max-bytes", "1000"],
+    ["advise", "--stride", "0"],
+    ["advise", "--blocklen", "4", "--stride", "2"],
+    # Output files need an existing directory, and must not be one.
+    ["trace", "vector", "--json", "/nonexistent/dir/t.json"],
+    ["sweep", "--out", "."],
+    ["sweep", "--out", "/nonexistent/dir/s.json"],
+    ["figure", "fig1", "--out", "/nonexistent/dir/s.json"],
+    ["report", "--quick", "--out", "/nonexistent/dir/r.md"],
+    ["sweep", "--host-trace", "/nonexistent/dir/h.json"],
+    ["experiment", "halo", "--host-trace", "/nonexistent/dir/h.json"],
+    ["perf", "gate", "--gate", "kernel-speedup",
+     "--host-trace", "/nonexistent/dir/h.json"],
 ])
 def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeypatch):
     """Exit 2 with one argparse error line naming the flag, before
@@ -162,14 +186,17 @@ def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeyp
     import repro.cli as cli_mod
 
     def forbidden(*args, **kwargs):
-        pytest.fail("ran an experiment")
+        pytest.fail("ran a command")
 
-    monkeypatch.setattr(cli_mod, "run_experiment", forbidden)
+    for name in dir(cli_mod):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli_mod, name, forbidden)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert sum("error:" in line for line in err.splitlines()) == 1
     last = err.strip().splitlines()[-1]
     assert "error: argument" in last
     flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
@@ -340,7 +367,6 @@ QUICK_KERNEL_GATE = [
     "--option", "kernels.inner_repeats=1",
     "--option", "kernels.n_runs=64",
     "--option", "kernels.min_gather_speedup=0.0001",
-    "--option", "kernels.min_flow_speedup=0.0001",
 ]
 
 
@@ -414,9 +440,9 @@ def test_perf_option_parsing_rejects_malformed(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--gate", "kernel-speedup", "--option", "kernels.min_flow_speedup=abc"],
+    ["--gate", "kernel-speedup", "--option", "kernels.min_gather_speedup=abc"],
     # Resolved for every gate before the first (contention-overhead) runs.
-    ["--all", "--option", "kernels.min_flow_speedup=abc"],
+    ["--all", "--option", "kernels.min_gather_speedup=abc"],
     ["--gate", "exec-speedup", "--option", "exec.repeats=three"],
     ["--all", "--option", "=5"],
 ])

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kernels import forced_scalar, max_min_rates_batched
-from repro.net import FlowEngine, fat_tree, max_min_rates, max_min_rates_scalar
+from repro.net import FlowEngine, fat_tree, max_min_rates
 from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Kernel
 
@@ -115,53 +114,6 @@ class TestMaxMinProperties:
                 load[link] >= capacities[link] * (1 - 1e-6) for link in route
             )
             assert at_cap or saturated
-
-
-class TestScalarBatchedDifferential:
-    """The vectorized solver is *exactly* equal to the scalar one — not
-    approximately: both run the same IEEE-754 operations in the same
-    rounds, so virtual time cannot depend on which tier solved."""
-
-    @given(_allocation_problems())
-    @settings(max_examples=200, deadline=None)
-    def test_rates_exactly_equal(self, problem):
-        routes, demands, capacities = problem
-        scalar = max_min_rates_scalar(routes, demands, capacities)
-        batched = max_min_rates_batched(routes, demands, capacities)
-        assert scalar == batched  # float ==, no tolerance
-
-    @given(_allocation_problems())
-    @settings(max_examples=50, deadline=None)
-    def test_dispatch_selects_the_forced_tier(self, problem):
-        routes, demands, capacities = problem
-        batched = max_min_rates(routes, demands, capacities)
-        with forced_scalar():
-            scalar = max_min_rates(routes, demands, capacities)
-        assert scalar == batched
-
-    def test_saturation_epsilons_agree(self):
-        # The two tiers share one saturation threshold by value; if one
-        # module's epsilon drifts, identical rounding is no longer
-        # guaranteed and the differential above becomes flaky.
-        import repro.kernels.flows as kflows
-        import repro.net.flows as nflows
-
-        assert kflows._EPS_REL == nflows._EPS_REL
-
-    @pytest.mark.parametrize(
-        "routes,demands,capacities",
-        [
-            ([(0,)], [1.0, 2.0], [10.0]),
-            ([(0,)], [0.0], [10.0]),
-            ([(0,)], [1.0], [0.0]),
-        ],
-    )
-    def test_batched_validation_matches_scalar(self, routes, demands, capacities):
-        with pytest.raises(ValueError) as scalar_err:
-            max_min_rates_scalar(routes, demands, capacities)
-        with pytest.raises(ValueError) as batched_err:
-            max_min_rates_batched(routes, demands, capacities)
-        assert str(batched_err.value) == str(scalar_err.value)
 
 
 # ----------------------------------------------------------------------
