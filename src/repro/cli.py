@@ -47,25 +47,58 @@ def _executor_from(args: argparse.Namespace) -> Executor | None:
                     chunk_size=getattr(args, "chunk_size", None))
 
 
-def _int_at_least(text: str, minimum: int, requirement: str) -> int:
-    """Parse an argparse int that must be at least ``minimum``."""
+def _bounded_int(text: str, requirement: str, minimum: int,
+                 maximum: int | None = None) -> int:
+    """Parse an argparse int in ``[minimum, maximum]`` (no upper bound
+    when ``maximum`` is None)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < minimum:
+    if value < minimum or (maximum is not None and value > maximum):
         raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
     return value
 
 
 def _positive_int(text: str) -> int:
     """argparse type for counts that must be at least 1."""
-    return _int_at_least(text, 1, "a positive integer")
+    return _bounded_int(text, "a positive integer", 1)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for byte bounds that may be zero."""
+    return _bounded_int(text, "non-negative", 0)
 
 
 def _ring_ranks(text: str) -> int:
     """argparse type for halo rank counts: a ring needs two ranks."""
-    return _int_at_least(text, 2, "at least 2 (a halo ring needs two ranks)")
+    return _bounded_int(text, "at least 2 (a halo ring needs two ranks)", 2)
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port (0 picks a free one)."""
+    return _bounded_int(text, "a port in [0, 65535]", 0, 65535)
+
+
+def _unit_fraction(text: str) -> float:
+    """argparse type for a fraction in [0, 1)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1), got {value}")
+    return value
+
+
+def _input_path(text: str) -> str:
+    """argparse type for a file the command reads: it must exist."""
+    path = Path(text)
+    if path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    if not path.exists():
+        raise argparse.ArgumentTypeError(f"{text!r} does not exist")
+    return text
 
 
 def _output_path(text: str) -> str:
@@ -350,8 +383,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .analysis.compare import compare_sweeps
     from .core.results import SweepResult
 
-    a = SweepResult.load(args.sweep_a)
-    b = SweepResult.load(args.sweep_b)
+    try:
+        a = SweepResult.load(args.sweep_a)
+        b = SweepResult.load(args.sweep_b)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     comparison = compare_sweeps(a, b, label_a=args.sweep_a, label_b=args.sweep_b)
     print(comparison.render())
     worst = comparison.worst_regression()
@@ -375,9 +412,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
         print(store.stats().render())
         return 0
     if args.evict_to is not None:
-        if args.evict_to < 0:
-            print("error: --evict-to must be non-negative", file=sys.stderr)
-            return 1
         evicted, freed = store.evict_to(args.evict_to)
         store.flush_counters()
         print(
@@ -644,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocklen", type=_positive_int, default=1, metavar="DOUBLES")
     p.add_argument("--stride", type=int, default=None, metavar="DOUBLES",
                    help="block-to-block stride (default: 2 x blocklen)")
-    p.add_argument("--jitter", type=float, default=0.5,
+    p.add_argument("--jitter", type=_unit_fraction, default=0.5,
                    help="displacement jitter in [0, 1) for --datatype indexed")
     p.add_argument("--count", type=int, default=1,
                    help="datatype count, as in MPI_Send(..., count, type, ...)")
@@ -659,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_advise, usage_error=p.error)
 
     p = sub.add_parser("compare", help="compare two saved sweep JSON files")
-    p.add_argument("sweep_a")
-    p.add_argument("sweep_b")
+    p.add_argument("sweep_a", type=_input_path)
+    p.add_argument("sweep_b", type=_input_path)
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("validate", help="cross-check payload delivery across all schemes")
@@ -680,7 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=("stats", "clear"))
     p.add_argument("--dir", default=None,
                    help="store root (default: $REPRO_CACHE_DIR or ~/.cache/repro-mpi)")
-    p.add_argument("--evict-to", type=int, default=None, metavar="BYTES",
+    p.add_argument("--evict-to", type=_non_negative_int, default=None, metavar="BYTES",
                    help="with 'clear': instead of removing everything, evict "
                         "least-recently-used cells until the store fits in "
                         "BYTES (the daemon's size-bound policy, run manually)")
@@ -692,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
              "content-addressed executor)",
     )
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8642,
+    p.add_argument("--port", type=_port, default=8642,
                    help="listening port (0 picks a free one; the bound URL "
                         "is printed on startup)")
     p.add_argument("--jobs", "-j", type=_positive_int, default=jobs, metavar="N",

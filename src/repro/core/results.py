@@ -146,4 +146,11 @@ class SweepResult:
 
     @classmethod
     def load(cls, path: str | Path) -> "SweepResult":
-        return cls.from_dict(json.loads(Path(path).read_text()))
+        """Read a sweep written by :meth:`save`.  A file that is not one
+        raises ``ValueError`` naming the path; IO errors propagate."""
+        try:
+            return cls.from_dict(json.loads(Path(path).read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"{path}: not a saved sweep ({type(exc).__name__}: {exc})"
+            ) from exc

@@ -4,8 +4,10 @@
 two flavours:
 
 * **materialized** — backed by a 64-byte-aligned numpy allocation (the
-  paper allocates all buffers 64-byte aligned, section 3.2); every
-  transfer really moves its bytes, so correctness is verifiable.
+  paper allocates all buffers 64-byte aligned, section 3.2); transfers
+  really move the bytes, so correctness is verifiable.  A ping-pong
+  cell moves and verifies real bytes in its last timed iteration only;
+  the other iterations only account costs (``World.move_bytes``).
 * **virtual** — size-only.  Transfers do full cost accounting but skip
   byte movement.  The benchmark harness uses virtual buffers above a
   validation threshold so gigabyte sweeps stay fast; the virtual/

@@ -151,7 +151,7 @@ class Comm:
     # ------------------------------------------------------------------
     def _build_payload(self, sbuf: SimBuffer, plan: TransferPlan) -> Payload:
         nbytes = plan.nbytes
-        if not sbuf.materialized:
+        if not (sbuf.materialized and self.world.move_bytes):
             return Payload(nbytes, None)
         data = np.empty(nbytes, dtype=np.uint8)
         plan.pack_into(sbuf.bytes, data)
@@ -653,7 +653,7 @@ class Comm:
             obs.complete(t0, t0 + copy_cost, "copy.gather",
                          rank=self.process.rank, category="copy",
                          nbytes=pattern.total_bytes)
-        if src_b.materialized and dst_b.materialized:
+        if src_b.materialized and dst_b.materialized and self.world.move_bytes:
             pack_bytes(src_b.bytes, datatype, count, dst_b.bytes, dst_offset,
                        plan=plan)
 
@@ -675,7 +675,7 @@ class Comm:
             obs.complete(t0, t0 + copy_cost, "copy.scatter",
                          rank=self.process.rank, category="copy",
                          nbytes=pattern.total_bytes)
-        if src_b.materialized and dst_b.materialized:
+        if src_b.materialized and dst_b.materialized and self.world.move_bytes:
             unpack_bytes(src_b.bytes, src_offset, dst_b.bytes, datatype, count,
                          plan=plan)
 

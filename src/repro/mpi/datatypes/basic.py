@@ -55,9 +55,8 @@ class BasicType(Datatype):
 
     combiner = "named"
 
-    # One contiguous run: cheaper to recompile than to cache (and a
-    # cached entry per (type, count) would churn the plan LRU with one
-    # entry per message size).
+    # Plans come from the named-type memo, not the shared plan LRU
+    # (see plan_for).
     _plan_uncached = True
 
     def __init__(self, name: str, np_dtype: np.dtype | str):

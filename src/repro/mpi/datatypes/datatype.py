@@ -39,11 +39,10 @@ class Datatype:
 
     combiner = "named"
 
-    #: When True, :func:`repro.mpi.datatypes.plan.plan_for` compiles a
-    #: fresh plan instead of consulting the shared cache.  Basic named
-    #: types set this: their one contiguous run is cheaper to rebuild
-    #: than to look up, and caching per (type, count) would churn the
-    #: LRU with one entry per message size.
+    #: When True, :func:`repro.mpi.datatypes.plan.plan_for` serves the
+    #: plan from the named-type memo instead of the shared cache.  Basic
+    #: named types set this: they are module singletons, and keeping them
+    #: out of the shared LRU keeps its counters about derived types.
     _plan_uncached = False
 
     def __init__(self, *, size: int, lb: int, ub: int, name: str):

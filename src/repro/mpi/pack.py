@@ -77,7 +77,7 @@ def pack(comm: "Comm", inbuf, incount: int, datatype: Datatype, outbuf,
             f"{dst.nbytes}-byte pack buffer"
         )
     _charge_pack(comm, plan, ncalls=1, scatter=False)
-    if src.materialized and dst.materialized and incount:
+    if src.materialized and dst.materialized and incount and comm.world.move_bytes:
         pack_bytes(src.bytes, datatype, incount, dst.bytes, position, plan=plan)
     comm.world.trace("pack", rank=comm.rank, nbytes=nbytes, ncalls=1)
     return position + nbytes
@@ -98,7 +98,7 @@ def unpack(comm: "Comm", inbuf, position: int, outbuf, outcount: int,
             f"{src.nbytes}-byte pack buffer"
         )
     _charge_pack(comm, plan, ncalls=1, scatter=True)
-    if src.materialized and dst.materialized and outcount:
+    if src.materialized and dst.materialized and outcount and comm.world.move_bytes:
         unpack_bytes(src.bytes, position, dst.bytes, datatype, outcount, plan=plan)
     comm.world.trace("unpack", rank=comm.rank, nbytes=nbytes, ncalls=1)
     return position + nbytes
@@ -124,7 +124,7 @@ def pack_elements_bulk(comm: "Comm", inbuf, incount: int, datatype: Datatype,
         )
     ncalls = plan.nblocks
     _charge_pack(comm, plan, ncalls=ncalls, scatter=False)
-    if src.materialized and dst.materialized and incount:
+    if src.materialized and dst.materialized and incount and comm.world.move_bytes:
         pack_bytes(src.bytes, datatype, incount, dst.bytes, position, plan=plan)
     comm.world.trace("pack", rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
     return position + nbytes
@@ -145,7 +145,7 @@ def unpack_elements_bulk(comm: "Comm", inbuf, position: int, outbuf,
         )
     ncalls = plan.nblocks
     _charge_pack(comm, plan, ncalls=ncalls, scatter=True)
-    if src.materialized and dst.materialized and outcount:
+    if src.materialized and dst.materialized and outcount and comm.world.move_bytes:
         unpack_bytes(src.bytes, position, dst.bytes, datatype, outcount, plan=plan)
     comm.world.trace("unpack", rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
     return position + nbytes

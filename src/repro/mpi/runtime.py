@@ -171,6 +171,13 @@ class World:
         else:
             self.shm_transport = None
         self.processes: list[Process] = []
+        #: Whether sends, packs and user copies out of materialized
+        #: buffers move real bytes.  Cleared, costs are still charged in
+        #: full but payloads travel empty, and receivers land nothing.
+        #: The ping-pong driver sets it for the one timed iteration it
+        #: verifies; it lives per world because concurrent jobs share a
+        #: process under the serve daemon.
+        self.move_bytes = True
         #: RMA window states, keyed by (context id, per-context index).
         self.win_registry: dict[tuple[int, int], Any] = {}
         #: Split bookkeeping, keyed by (parent context id, derive seq).

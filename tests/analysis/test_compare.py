@@ -76,3 +76,37 @@ class TestCompareCli:
         assert main(["compare", str(a_path), str(b_path)]) == 0
         out = capsys.readouterr().out
         assert "2.00" in out and "largest ratio" in out
+
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        from repro.cli import main
+
+        a_path = tmp_path / "a.json"
+        sweep(1.0).save(a_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", str(a_path), str(tmp_path / "missing.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert sum("error:" in line for line in err.splitlines()) == 1
+        last = err.strip().splitlines()[-1]
+        assert "error: argument sweep_b" in last and "missing.json" in last
+
+    @pytest.mark.parametrize("content", [
+        "",                      # empty: not JSON at all
+        '{"runs": []}',          # a JSON object that is not a sweep
+        "[1, 2]",
+        '{"platform": "x", "measurements": [{"scheme": "reference"}]}',
+    ])
+    def test_file_that_is_not_a_sweep_is_one_error_line(self, tmp_path, capsys,
+                                                         content):
+        from repro.cli import main
+
+        a_path, bad = tmp_path / "a.json", tmp_path / "bad.json"
+        sweep(1.0).save(a_path)
+        bad.write_text(content)
+        assert main(["compare", str(a_path), str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and "bad.json" in lines[0]

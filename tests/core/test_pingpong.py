@@ -1,11 +1,18 @@
-"""Ping-pong driver tests: measurement protocol, flushing, noise."""
+"""Ping-pong driver tests: measurement protocol, flushing, noise, and
+the one timed iteration that moves real bytes."""
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
 from repro.core import StridedLayout, TimingPolicy, run_pingpong
+from repro.core.schemes import ALL_SCHEME_KEYS
 from repro.machine import NoiseModel, get_platform
+from repro.mpi.datatypes.plan import TransferPlan
+from repro.obs import host
 
 
 @pytest.fixture
@@ -94,3 +101,90 @@ class TestNoise:
                             policy=TimingPolicy(iterations=20))
         if cell.stats.maximum > 3 * cell.stats.kept_mean:
             assert cell.stats.dismissed >= 1
+
+
+def _corrupting(method, first_written):
+    """Wrap a TransferPlan byte mover so it bumps one byte it wrote.
+
+    A bump (not an xor) so that two corrupted copies in a row, such as
+    a pack and then the send of the packed buffer, cannot cancel out.
+    """
+
+    def corrupt(self, *args):
+        moved = method(self, *args)
+        if moved:
+            dst_b, offset = first_written(self, *args)
+            dst_b[offset] += 1
+        return moved
+
+    return corrupt
+
+
+@pytest.mark.parametrize("key", ALL_SCHEME_KEYS)
+class TestOneMovingIteration:
+    """Materialized cells move real bytes in the last timed iteration
+    only; verification reads exactly what that iteration delivered."""
+
+    POLICY = TimingPolicy(iterations=5, flush=False)
+
+    def test_one_landed_payload_per_materialized_cell(self, key, layout, ideal):
+        with host.capturing() as telemetry:
+            cell = run_pingpong(key, layout, ideal, policy=self.POLICY)
+        assert cell.verified
+        landed = telemetry.metrics.counter_value("kernel.scatter.single_run")
+        assert landed == 1
+
+    def test_corrupt_sender_gather_fails_verification(self, key, layout, ideal,
+                                                      monkeypatch):
+        monkeypatch.setattr(TransferPlan, "gather", _corrupting(
+            TransferPlan.gather,
+            lambda plan, src_b, dst_b, dst_offset=0: (dst_b, dst_offset),
+        ))
+        cell = run_pingpong(key, layout, ideal, policy=self.POLICY)
+        assert not cell.verified
+
+    def test_corrupt_receiver_scatter_fails_verification(self, key, layout, ideal,
+                                                         monkeypatch):
+        monkeypatch.setattr(TransferPlan, "scatter", _corrupting(
+            TransferPlan.scatter,
+            lambda plan, src_b, src_offset, dst_b: (dst_b, plan.min_offset),
+        ))
+        cell = run_pingpong(key, layout, ideal, policy=self.POLICY)
+        assert not cell.verified
+
+
+class TestConcurrentWorlds:
+    """Two cells in flight in one process, as under ``repro serve
+    --jobs 1`` with two jobs: the byte-moving switch is per world."""
+
+    KEYS = ("copying", "onesided")
+    POLICY = TimingPolicy(iterations=5, flush=False)
+
+    def test_concurrent_cells_match_serial_runs(self, skx):
+        layout = StridedLayout(nblocks=4096)  # 32 KiB: rendezvous on skx
+        serial = {key: run_pingpong(key, layout, skx, policy=self.POLICY)
+                  for key in self.KEYS}
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                cells = {}
+                with host.capturing() as telemetry:
+                    # Bound before the threads start, so neither creates it.
+                    telemetry.metrics.counter("kernel.scatter.single_run")
+                    threads = [
+                        threading.Thread(target=lambda key=key: cells.__setitem__(
+                            key, run_pingpong(key, layout, skx, policy=self.POLICY)))
+                        for key in self.KEYS
+                    ]
+                    for thread in threads:
+                        thread.start()
+                    for thread in threads:
+                        thread.join(timeout=60)
+                        assert not thread.is_alive()
+                assert cells == serial
+                assert all(cell.verified for cell in cells.values())
+                landed = telemetry.metrics.counter_value("kernel.scatter.single_run")
+                assert landed == len(self.KEYS)
+        finally:
+            sys.setswitchinterval(saved)

@@ -240,7 +240,9 @@ def test_cache_clear_evict_to_cli(tmp_path, capsys, monkeypatch):
     fresh = ResultStore(tmp_path)
     assert 0 < fresh.stats().entries < len(specs)
     assert fresh.stats().evictions > 0
-    assert main(["cache", "clear", "--evict-to", "-5"]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "clear", "--evict-to", "-5"])
+    assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------------

@@ -179,6 +179,12 @@ def test_jobs_defaults_to_one_worker_per_cpu():
     ["experiment", "halo", "--host-trace", "/nonexistent/dir/h.json"],
     ["perf", "gate", "--gate", "kernel-speedup",
      "--host-trace", "/nonexistent/dir/h.json"],
+    # Jitter is a fraction in [0, 1); ports and byte bounds have ranges.
+    ["advise", "--datatype", "indexed", "--jitter", "2"],
+    ["advise", "--datatype", "indexed", "--jitter", "-1"],
+    ["serve", "--port", "99999"],
+    ["serve", "--port", "-1"],
+    ["cache", "clear", "--evict-to", "-5"],
 ])
 def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeypatch):
     """Exit 2 with one argparse error line naming the flag, before

@@ -12,7 +12,9 @@ import pytest
 
 from repro.mpi import DOUBLE, make_vector, run_mpi
 from repro.mpi.datatypes import (
+    BYTE,
     INT,
+    PACKED,
     TransferPlan,
     clear_plan_cache,
     compile_plan,
@@ -21,7 +23,7 @@ from repro.mpi.datatypes import (
     plan_cache_stats,
     plan_for,
 )
-from repro.mpi.datatypes.plan import _CACHE
+from repro.mpi.datatypes.plan import _CACHE, _named_plan
 from repro.mpi.errors import FreedDatatypeError
 
 
@@ -85,6 +87,22 @@ class TestCacheBehaviour:
         assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
         assert after["size"] == before["size"]
+
+    def test_named_types_compile_once(self):
+        """Named-type plans come from their own memo: the same object on
+        every call, with the shared cache's counters untouched."""
+        before = plan_cache_stats()
+        plan = plan_for(BYTE, 4096)
+        assert plan_for(BYTE, 4096) is plan
+        assert plan_for(PACKED, 4096) is not plan
+        assert plan.reuses == 0
+        assert plan_cache_stats() == before
+
+    def test_named_memo_stays_bounded(self):
+        bound = _named_plan.cache_info().maxsize
+        for count in range(bound + 10):
+            plan_for(BYTE, count)
+        assert _named_plan.cache_info().currsize <= bound
 
     def test_lru_eviction_under_small_capacity(self):
         v = make_vector(4, 1, 2, DOUBLE).commit()
