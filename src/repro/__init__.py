@@ -8,8 +8,8 @@ Layers (each a subpackage, bottom-up):
 * :mod:`repro.sim` — deterministic discrete-event kernel with
   thread-backed rank tasks.
 * :mod:`repro.mpi` — the simulated MPI library: derived datatypes,
-  eager/rendezvous point-to-point, buffered sends, one-sided windows,
-  collectives.
+  eager/rendezvous point-to-point, buffered sends, packing, one-sided
+  ``Put`` with fences, a barrier.
 * :mod:`repro.core` — the paper's benchmark suite: eight send schemes
   over the measured ping-pong.
 * :mod:`repro.exec` — the cell-execution engine: content-addressed

@@ -44,8 +44,6 @@ _DEFAULT_CATEGORIES = (
     "unpack",
     "bsend",
     "rma.put",
-    "rma.get",
-    "rma.acc",
     "rma.drain",
     "flush",
 )
@@ -74,10 +72,6 @@ def event_label(event: TraceEvent) -> str:
         return f"bsend ->{f['dest']} {f['nbytes']}B (reserved {f['reserved']})"
     if c == "rma.put":
         return f"Put ->{f['target']} {f['nbytes']}B"
-    if c == "rma.get":
-        return f"Get <-{f['target']} {f['nbytes']}B"
-    if c == "rma.acc":
-        return f"Accumulate ->{f['target']} {f['nbytes']}B"
     if c == "rma.drain":
         return f"fence drains {f['nops']} op(s)"
     if c == "flush":

@@ -66,7 +66,7 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """argparse type for byte bounds that may be zero."""
+    """argparse type for byte bounds and counts that may be zero."""
     return _bounded_int(text, "non-negative", 0)
 
 
@@ -680,10 +680,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="block-to-block stride (default: 2 x blocklen)")
     p.add_argument("--jitter", type=_unit_fraction, default=0.5,
                    help="displacement jitter in [0, 1) for --datatype indexed")
-    p.add_argument("--count", type=int, default=1,
+    p.add_argument("--count", type=_non_negative_int, default=1,
                    help="datatype count, as in MPI_Send(..., count, type, ...)")
-    p.add_argument("--ranks-per-node", dest="ranks_per_node", type=int, default=None,
-                   metavar="N",
+    p.add_argument("--ranks-per-node", dest="ranks_per_node", type=_positive_int,
+                   default=None, metavar="N",
                    help="ranks co-located per node; with a placement that "
                         "co-locates the pair, the advice prices the intra-node "
                         "shm transport instead of the network")

@@ -1,12 +1,13 @@
 """``repro.mpi`` — a simulated MPI implementation.
 
 A functionally-correct, performance-modelled MPI subset in pure Python:
-derived datatypes with a vectorized pack engine, two-sided
-point-to-point with eager/rendezvous protocols and MPI matching
-semantics, buffered sends, one-sided windows with fence
-synchronization, binomial-tree collectives, and nonblocking requests —
-all running over the deterministic discrete-event kernel in
-:mod:`repro.sim` with costs priced by :mod:`repro.machine`.
+derived datatypes with a vectorized pack engine, blocking and
+nonblocking point-to-point with eager/rendezvous protocols and MPI
+matching semantics, buffered sends, ``Pack``/``Unpack``, one-sided
+``Put`` with fence synchronization, ``Barrier`` and ``Split`` — the
+calls the paper's eight send schemes, the halo experiment and the
+examples make — all running over the deterministic discrete-event
+kernel in :mod:`repro.sim` with costs priced by :mod:`repro.machine`.
 
 Quick start::
 
@@ -43,7 +44,6 @@ from .errors import (
     UncommittedDatatypeError,
     WindowError,
 )
-from .persistent import PersistentRecvRequest, PersistentSendRequest, start_all
 from .request import Request, wait_all
 from .runtime import JobResult, Process, World, run_mpi
 from .status import ANY_SOURCE, ANY_TAG, Status
@@ -65,9 +65,6 @@ __all__ = [
     "ANY_TAG",
     "Request",
     "wait_all",
-    "PersistentSendRequest",
-    "PersistentRecvRequest",
-    "start_all",
     "Win",
     # errors
     "MpiError",

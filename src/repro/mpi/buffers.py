@@ -134,7 +134,9 @@ class AttachedBuffer:
 
     def __init__(self, capacity: int):
         if capacity < 0:
-            raise ValueError("capacity must be non-negative")
+            raise BufferError_(
+                f"attached buffer capacity must be non-negative, got {capacity}"
+            )
         self.capacity = capacity
         self.in_use = 0
         self._reservations = 0

@@ -1,5 +1,5 @@
-"""The communicator: two-sided point-to-point plus entry points to
-packing, collectives, and one-sided windows.
+"""The communicator: two-sided point-to-point, the barrier, and entry
+points to packing and one-sided windows.
 
 Method names follow mpi4py's buffer-based (capitalized) API.  Buffers
 are :class:`~repro.mpi.buffers.SimBuffer` or numpy arrays; datatypes
@@ -15,7 +15,7 @@ import numpy as np
 from ..sim.sync import SimCondition
 from .buffers import SimBuffer, as_simbuffer
 from .datatypes import BYTE, Datatype, from_numpy_dtype, pack_bytes, unpack_bytes
-from .datatypes.basic import PACKED, BasicType
+from .datatypes.basic import PACKED
 from .datatypes.plan import TransferPlan, plan_for
 from .errors import CommunicatorError, TruncationError
 from .matching import PostedRecv
@@ -29,14 +29,17 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["Comm"]
 
+#: Base of the tag space reserved for collective traffic (``Barrier``).
+_COLL_TAG_BASE = 1 << 28
+
 
 class Comm:
     """A communicator bound to one rank of a simulated world.
 
     A communicator is a (context id, rank group) pair: ``group[i]`` is
     the world rank of communicator rank ``i``.  Messages only match
-    within their context (MPI communicator isolation); ``Dup`` and
-    ``Split`` derive new communicators collectively.
+    within their context (MPI communicator isolation); ``Split``
+    derives new communicators collectively.
     """
 
     def __init__(
@@ -57,7 +60,7 @@ class Comm:
             )
         self._rank = self._group.index(process.rank)
         self._coll_seq = 0  # collective tag sequence (same order on all ranks)
-        self._derived_seq = 0  # Dup/Split sequence (same order on all ranks)
+        self._derived_seq = 0  # Split sequence (same order on all ranks)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -143,6 +146,13 @@ class Comm:
             raise CommunicatorError(f"{what} rank {rank} outside [0, {self.size})")
 
     @staticmethod
+    def _check_tag(tag: int, what: str) -> None:
+        """Tags are non-negative (``MPI_ERR_TAG``); only a receive may
+        pass the ``ANY_TAG`` wildcard."""
+        if tag < 0 and not (what == "receive" and tag == ANY_TAG):
+            raise CommunicatorError(f"{what} tag {tag} is negative")
+
+    @staticmethod
     def _is_packed(datatype: Datatype) -> bool:
         return datatype is PACKED
 
@@ -167,11 +177,10 @@ class Comm:
         tag: int,
         count: int | None,
         datatype: Datatype | None,
-        *,
-        synchronous: bool = False,
     ) -> SendOperation:
-        """Inline sender-side work shared by Send/Isend/Ssend."""
+        """Inline sender-side work shared by Send/Isend."""
         self._check_peer(dest, "destination")
+        self._check_tag(tag, "send")
         sbuf, count, datatype, plan = self._resolve(buf, count, datatype)
         task = self.process.task
         cost = self._cost
@@ -231,7 +240,6 @@ class Comm:
             payload=payload,
             packed=self._is_packed(datatype),
             derived=derived,
-            synchronous=synchronous,
             context_id=self.context_id,
         )
         op.start()
@@ -241,13 +249,6 @@ class Comm:
              datatype: Datatype | None = None) -> None:
         """Blocking standard-mode send (``MPI_Send``)."""
         op = self._start_send(buf, dest, tag, count, datatype)
-        op.handle.wait(self.process.task)
-
-    def Ssend(self, buf, dest: int, tag: int = 0, *, count: int | None = None,
-              datatype: Datatype | None = None) -> None:
-        """Blocking synchronous send: completes only after the matching
-        receive starts (``MPI_Ssend``)."""
-        op = self._start_send(buf, dest, tag, count, datatype, synchronous=True)
         op.handle.wait(self.process.task)
 
     def Isend(self, buf, dest: int, tag: int = 0, *, count: int | None = None,
@@ -263,6 +264,7 @@ class Comm:
         the platform's buffered-send bandwidth derating (section 4.2).
         """
         self._check_peer(dest, "destination")
+        self._check_tag(tag, "send")
         sbuf, count, datatype, plan = self._resolve(buf, count, datatype)
         task = self.process.task
         cost = self._cost
@@ -317,6 +319,7 @@ class Comm:
         if source != ANY_SOURCE:
             self._check_peer(source, "source")
             source = self._world_rank(source)
+        self._check_tag(tag, "receive")
         sbuf, count, datatype, plan = self._resolve(buf, count, datatype)
         self.process.task.sleep(self._cost.call())
         cond = SimCondition(self.world.kernel, f"recv@{self.process.rank}")
@@ -424,78 +427,6 @@ class Comm:
             unpack_bytes(msg.payload.data, 0, sbuf.bytes, datatype, nelems)
 
     # ------------------------------------------------------------------
-    # Combined / probing
-    # ------------------------------------------------------------------
-    def Sendrecv(self, sendbuf, dest: int, recvbuf, source: int,
-                 sendtag: int = 0, recvtag: int = ANY_TAG, *,
-                 sendcount: int | None = None, senddatatype: Datatype | None = None,
-                 recvcount: int | None = None, recvdatatype: Datatype | None = None) -> Status:
-        """``MPI_Sendrecv``: deadlock-free combined send and receive."""
-        req = self.Irecv(recvbuf, source, recvtag, count=recvcount, datatype=recvdatatype)
-        self.Send(sendbuf, dest, sendtag, count=sendcount, datatype=senddatatype)
-        status = req.wait()
-        assert status is not None
-        return status
-
-    def Send_init(self, buf, dest: int, tag: int = 0, *, count: int | None = None,
-                  datatype: Datatype | None = None):
-        """``MPI_Send_init``: a persistent send request (use ``Start``)."""
-        from .persistent import PersistentSendRequest
-
-        return PersistentSendRequest(self, buf, dest, tag, count, datatype)
-
-    def Recv_init(self, buf, source: int = ANY_SOURCE, tag: int = ANY_TAG, *,
-                  count: int | None = None, datatype: Datatype | None = None):
-        """``MPI_Recv_init``: a persistent receive request."""
-        from .persistent import PersistentRecvRequest
-
-        return PersistentRecvRequest(self, buf, source, tag, count, datatype)
-
-    def Sendrecv_replace(self, buf, dest: int, source: int,
-                         sendtag: int = 0, recvtag: int = ANY_TAG, *,
-                         count: int | None = None,
-                         datatype: Datatype | None = None) -> Status:
-        """``MPI_Sendrecv_replace``: exchange in place through an
-        internal temporary (whose copy is priced)."""
-        sbuf, count, datatype, plan = self._resolve(buf, count, datatype)
-        nbytes = plan.nbytes
-        # Stage the outgoing data into a library temporary.
-        self.process.task.sleep(self._cost.memcpy(nbytes, self.process.cache_warm))
-        if sbuf.materialized:
-            staged = SimBuffer.alloc(nbytes, zero=False)
-            plan.pack_into(sbuf.bytes, staged.bytes)
-        else:
-            staged = SimBuffer.virtual(nbytes)
-        req = self.Irecv(sbuf, source, recvtag, count=count, datatype=datatype)
-        self.Send(staged, dest, sendtag, count=nbytes, datatype=BYTE)
-        status = req.wait()
-        assert status is not None
-        return status
-
-    def Probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Status:
-        """Blocking probe: returns the envelope of the first matching
-        pending message without receiving it."""
-        task = self.process.task
-        task.sleep(self._cost.call())
-        inbox = self.process.inbox
-        world_source = source if source == ANY_SOURCE else self._world_rank(source)
-        while True:
-            msg = inbox.probe(world_source, tag, self.context_id)
-            if msg is not None:
-                return Status(source=self._comm_rank(msg.source), tag=msg.tag,
-                              nbytes=msg.nbytes)
-            self.process.arrival_cond.wait(task, reason=f"Probe(src={source},tag={tag})")
-
-    def Iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> tuple[bool, Status | None]:
-        """Nonblocking probe."""
-        self.process.task.sleep(self._cost.call())
-        world_source = source if source == ANY_SOURCE else self._world_rank(source)
-        msg = self.process.inbox.probe(world_source, tag, self.context_id)
-        if msg is None:
-            return False, None
-        return True, Status(source=self._comm_rank(msg.source), tag=msg.tag, nbytes=msg.nbytes)
-
-    # ------------------------------------------------------------------
     # Buffered-send buffer management
     # ------------------------------------------------------------------
     def Buffer_attach(self, nbytes: int) -> None:
@@ -537,76 +468,42 @@ class Comm:
 
         return Win.create(self, buffer)
 
+    # ------------------------------------------------------------------
+    # Barrier
+    # ------------------------------------------------------------------
+    def _next_tag(self) -> int:
+        """Tag of the next collective.  Collective traffic uses a
+        reserved tag space; correctness relies on the MPI rule that all
+        ranks invoke collectives in the same order."""
+        self._coll_seq += 1
+        return _COLL_TAG_BASE + (self._coll_seq & 0xFFFF)
+
     def Barrier(self) -> None:
-        from .collectives import barrier
-
-        barrier(self)
-
-    def Bcast(self, buf, root: int = 0, *, count: int | None = None,
-              datatype: Datatype | None = None) -> None:
-        from .collectives import bcast
-
-        bcast(self, buf, root, count=count, datatype=datatype)
-
-    def Reduce(self, sendbuf, recvbuf, op: str = "sum", root: int = 0) -> None:
-        from .collectives import reduce
-
-        reduce(self, sendbuf, recvbuf, op, root)
-
-    def Allreduce(self, sendbuf, recvbuf, op: str = "sum") -> None:
-        from .collectives import allreduce
-
-        allreduce(self, sendbuf, recvbuf, op)
-
-    def Gather(self, sendbuf, recvbuf, root: int = 0, *, count: int | None = None,
-               datatype: Datatype | None = None) -> None:
-        from .collectives import gather
-
-        gather(self, sendbuf, recvbuf, root, count=count, datatype=datatype)
-
-    def Allgather(self, sendbuf, recvbuf, *, count: int | None = None,
-                  datatype: Datatype | None = None) -> None:
-        from .collectives import allgather
-
-        allgather(self, sendbuf, recvbuf, count=count, datatype=datatype)
-
-    def Scatter(self, sendbuf, recvbuf, root: int = 0, *, count: int | None = None,
-                datatype: Datatype | None = None) -> None:
-        from .collectives import scatter
-
-        scatter(self, sendbuf, recvbuf, root, count=count, datatype=datatype)
-
-    def Alltoall(self, sendbuf, recvbuf, *, count: int | None = None,
-                 datatype: Datatype | None = None) -> None:
-        from .collectives import alltoall
-
-        alltoall(self, sendbuf, recvbuf, count=count, datatype=datatype)
-
-    def Scan(self, sendbuf, recvbuf, op: str = "sum") -> None:
-        from .collectives import scan
-
-        scan(self, sendbuf, recvbuf, op)
-
-    def Exscan(self, sendbuf, recvbuf, op: str = "sum") -> None:
-        from .collectives import exscan
-
-        exscan(self, sendbuf, recvbuf, op)
+        """``MPI_Barrier``: binomial fan-in to rank 0, then fan-out, with
+        empty messages — timing falls out of the p2p protocol, the way
+        MPICH implements the small-message case."""
+        tag = self._next_tag()
+        size = self.size
+        if size == 1:
+            self.process.task.sleep(self._cost.call())
+            return
+        empty = np.empty(0, dtype=np.uint8)
+        rel = self.rank  # root 0
+        children = _tree_children(rel, size)
+        # Fan-in: children report, deepest first.
+        for child in reversed(children):
+            self.Recv(empty, source=child, tag=tag, count=0)
+        if rel != 0:
+            parent = _tree_parent(rel)
+            self.Send(empty, dest=parent, tag=tag, count=0)
+            self.Recv(empty, source=parent, tag=tag + 1, count=0)
+        # Fan-out: release children.
+        for child in children:
+            self.Send(empty, dest=child, tag=tag + 1, count=0)
 
     # ------------------------------------------------------------------
     # Communicator management
     # ------------------------------------------------------------------
-    def Dup(self) -> "Comm":
-        """``MPI_Comm_dup``: same group, fresh communication context.
-
-        Collective; traffic on the duplicate never matches receives on
-        the parent (and vice versa).
-        """
-        seq = self._derived_seq
-        self._derived_seq += 1
-        cid = self.world.context_for(("dup", self.context_id, seq))
-        self.Barrier()
-        return Comm(self.world, self.process, context_id=cid, group=self._group)
-
     def Split(self, color: int | None, key: int = 0) -> "Comm | None":
         """``MPI_Comm_split``: partition by ``color``, order by
         ``(key, parent rank)``.
@@ -693,3 +590,19 @@ class Comm:
                          rank=self.process.rank, category="overhead",
                          nbytes=nbytes)
         self.world.trace("flush", rank=self.rank, nbytes=nbytes)
+
+
+def _tree_children(rel: int, size: int) -> list[int]:
+    """Children of relative rank ``rel`` in a binomial broadcast tree."""
+    children = []
+    mask = 1
+    while mask < size:
+        if rel & (mask - 1) == 0 and rel | mask != rel and rel | mask < size and rel & mask == 0:
+            children.append(rel | mask)
+        mask <<= 1
+    return children
+
+
+def _tree_parent(rel: int) -> int:
+    """Parent of relative rank ``rel`` (clear the lowest set bit)."""
+    return rel & (rel - 1)

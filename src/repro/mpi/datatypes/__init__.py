@@ -43,7 +43,6 @@ from .basic import (
 )
 from .contiguous import ContiguousType, make_contiguous
 from .datatype import Datatype
-from .decode import describe, reconstruct
 from .engine import check_fits, pack_bytes, unpack_bytes
 from .indexed import (
     HIndexedType,
@@ -74,8 +73,6 @@ __all__ = [
     "pack_bytes",
     "unpack_bytes",
     "check_fits",
-    "reconstruct",
-    "describe",
     # transfer plans
     "TransferPlan",
     "plan_for",

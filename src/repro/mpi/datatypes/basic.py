@@ -8,8 +8,6 @@ type produced by ``MPI_Pack``.
 
 from __future__ import annotations
 
-from typing import Any
-
 import numpy as np
 
 from ..errors import DatatypeError
@@ -72,9 +70,6 @@ class BasicType(Datatype):
         raise DatatypeError(f"named datatype {self.name!r} cannot be freed")
 
     Free = free
-
-    def _contents(self) -> dict[str, Any]:
-        return {"name": self.name, "np_dtype": self.np_dtype.str}
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import DatatypeError
 from .datatype import Datatype
 from .runs import Run
@@ -36,9 +34,6 @@ class ContiguousType(Datatype):
 
     def _build_runs(self) -> list[Run]:
         return list(self._snapshot)
-
-    def _contents(self) -> dict[str, Any]:
-        return {"count": self.count, "oldtype": self.oldtype}
 
 
 def make_contiguous(count: int, oldtype: Datatype) -> ContiguousType:

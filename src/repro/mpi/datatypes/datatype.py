@@ -19,8 +19,6 @@ MPI semantics honoured here:
 
 from __future__ import annotations
 
-from typing import Any
-
 from ...machine.access import AccessPattern, contiguous_pattern
 from ..errors import DatatypeError, FreedDatatypeError, UncommittedDatatypeError
 from .runs import Run, coalesce, combine_patterns, replicate, segments_of
@@ -33,8 +31,7 @@ class Datatype:
 
     Subclasses must call ``super().__init__`` with the payload ``size``
     and the bounds, then implement :meth:`_build_runs` (byte runs of ONE
-    element, offsets relative to the element origin) and
-    :meth:`_contents` (decode information).
+    element, offsets relative to the element origin).
     """
 
     combiner = "named"
@@ -221,20 +218,12 @@ class Datatype:
         return self._size * count
 
     # ------------------------------------------------------------------
-    # Decoding (MPI_Type_get_envelope / get_contents)
+    # Decoding (MPI_Type_get_envelope)
     # ------------------------------------------------------------------
     def get_envelope(self) -> str:
         """The combiner that created this type."""
         self._check_not_freed()
         return self.combiner
-
-    def get_contents(self) -> dict[str, Any]:
-        """Constructor arguments, as a plain dict."""
-        self._check_not_freed()
-        return self._contents()
-
-    def _contents(self) -> dict[str, Any]:
-        return {"name": self._name}
 
     # ------------------------------------------------------------------
     # Guards
@@ -266,6 +255,3 @@ class _DupDatatype(Datatype):
 
     def _build_runs(self) -> list[Run]:
         return list(self._base._flatten())
-
-    def _contents(self) -> dict[str, Any]:
-        return {"oldtype": self._base}

@@ -8,7 +8,7 @@ section 4.7.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -95,13 +95,6 @@ class IndexedType(_BaseIndexed):
             name=f"indexed(n={len(disps)},{oldtype.name})",
         )
 
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "blocklengths": self._lengths.tolist(),
-            "displacements": self.displacements.tolist(),
-            "oldtype": self.oldtype,
-        }
-
 
 class HIndexedType(_BaseIndexed):
     """``MPI_Type_create_hindexed``: displacements in bytes."""
@@ -115,13 +108,6 @@ class HIndexedType(_BaseIndexed):
             oldtype,
             name=f"hindexed(n={len(list(displacements))},{oldtype.name})",
         )
-
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "blocklengths": self._lengths.tolist(),
-            "byte_displacements": self._byte_disps.tolist(),
-            "oldtype": self.oldtype,
-        }
 
 
 class IndexedBlockType(_BaseIndexed):
@@ -141,13 +127,6 @@ class IndexedBlockType(_BaseIndexed):
             oldtype,
             name=f"indexed_block({blocklength},n={disps.size},{oldtype.name})",
         )
-
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "blocklength": self.blocklength,
-            "displacements": self.displacements.tolist(),
-            "oldtype": self.oldtype,
-        }
 
 
 def make_indexed(

@@ -5,7 +5,7 @@ A :class:`TransferPlan` is the canonical artifact of one
 bounds (making fit checks O(1)), the :class:`AccessPattern` the cost
 model prices, and the gather/scatter entry points that move real bytes.
 Every byte-moving layer — ``engine.pack_bytes``, ``MPI_Pack``, p2p
-sends/receives, one-sided Put/Get — obtains its plan from
+sends/receives, one-sided Put — obtains its plan from
 :func:`plan_for` (one shared cache for derived types, a small memo for
 named ones), so the cost model and the byte mover are guaranteed to
 price and move the *same* runs, and the flattening work (``replicate`` +

@@ -6,8 +6,6 @@ one-column type of a matrix step by one element so columns interleave.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .datatype import Datatype
 from .runs import Run
 
@@ -32,9 +30,6 @@ class ResizedType(Datatype):
 
     def _build_runs(self) -> list[Run]:
         return list(self._snapshot)
-
-    def _contents(self) -> dict[str, Any]:
-        return {"oldtype": self.oldtype, "lb": self.lb, "extent": self.extent}
 
 
 def make_resized(oldtype: Datatype, lb: int, extent: int) -> ResizedType:

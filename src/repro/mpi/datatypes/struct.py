@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..errors import DatatypeError
 from .datatype import Datatype
@@ -64,13 +64,6 @@ class StructType(Datatype):
 
     def _build_runs(self) -> list[Run]:
         return list(self._snapshot)
-
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "blocklengths": list(self.blocklengths),
-            "displacements": list(self.displacements),
-            "types": list(self.types),
-        }
 
 
 def make_struct(

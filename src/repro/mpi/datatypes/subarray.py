@@ -8,7 +8,7 @@ with the other, giving exactly the stride-2 layout of the vector type.
 from __future__ import annotations
 
 from math import prod
-from typing import Any, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -132,15 +132,6 @@ class SubarrayType(Datatype):
 
     def _build_runs(self) -> list[Run]:
         return list(self._snapshot)
-
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "sizes": list(self.sizes),
-            "subsizes": list(self.subsizes),
-            "starts": list(self.starts),
-            "order": self.order,
-            "oldtype": self.oldtype,
-        }
 
 
 def _fold_offsets(dim_specs: list[tuple[int, int]]) -> np.ndarray:

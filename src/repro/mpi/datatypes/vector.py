@@ -7,8 +7,6 @@ other element of a double array.
 
 from __future__ import annotations
 
-from typing import Any
-
 from ..errors import DatatypeError
 from .datatype import Datatype
 from .runs import ContigRun, Run, StridedRuns, coalesce, replicate
@@ -87,14 +85,6 @@ class VectorType(_BaseVector):
             name=f"vector({count},{blocklength},{stride},{oldtype.name})",
         )
 
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "blocklength": self.blocklength,
-            "stride": self.stride,
-            "oldtype": self.oldtype,
-        }
-
 
 class HVectorType(_BaseVector):
     """``MPI_Type_create_hvector``: stride counted in bytes."""
@@ -110,14 +100,6 @@ class HVectorType(_BaseVector):
             name=f"hvector({count},{blocklength},{stride}B,{oldtype.name})",
         )
         self.stride = stride
-
-    def _contents(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "blocklength": self.blocklength,
-            "stride_bytes": self.stride_bytes,
-            "oldtype": self.oldtype,
-        }
 
 
 def make_vector(count: int, blocklength: int, stride: int, oldtype: Datatype) -> VectorType:

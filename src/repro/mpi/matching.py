@@ -112,17 +112,6 @@ class Inbox:
             message.operation.grant_cts()
 
     # ------------------------------------------------------------------
-    def probe(self, source: int, tag: int, context_id: int = 0) -> "TransitMessage | None":
-        """First unexpected message matching, not removed."""
-        for message in self.unexpected:
-            if (
-                getattr(message, "context_id", 0) == context_id
-                and (source in (ANY_SOURCE, message.source))
-                and (tag in (ANY_TAG, message.tag))
-            ):
-                return message
-        return None
-
     @property
     def pending_unexpected(self) -> int:
         return len(self.unexpected)

@@ -23,7 +23,7 @@ from .errors import PackError
 if TYPE_CHECKING:  # pragma: no cover
     from .comm import Comm
 
-__all__ = ["pack", "unpack", "pack_size", "pack_elements_bulk", "unpack_elements_bulk"]
+__all__ = ["pack", "unpack", "pack_size", "pack_elements_bulk"]
 
 
 def pack_size(comm: "Comm", incount: int, datatype: Datatype) -> int:
@@ -129,23 +129,3 @@ def pack_elements_bulk(comm: "Comm", inbuf, incount: int, datatype: Datatype,
     comm.world.trace("pack", rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
     return position + nbytes
 
-
-def unpack_elements_bulk(comm: "Comm", inbuf, position: int, outbuf,
-                         outcount: int, datatype: Datatype) -> int:
-    """Mirror of :func:`pack_elements_bulk` for the unpack direction."""
-    datatype.require_committed()
-    src = as_simbuffer(inbuf)
-    dst = as_simbuffer(outbuf)
-    plan = plan_for(datatype, outcount, comm.world.metrics)
-    nbytes = plan.nbytes
-    if position < 0 or position + nbytes > src.nbytes:
-        raise PackError(
-            f"bulk unpack of {nbytes} bytes at position {position} overruns "
-            f"{src.nbytes}-byte pack buffer"
-        )
-    ncalls = plan.nblocks
-    _charge_pack(comm, plan, ncalls=ncalls, scatter=True)
-    if src.materialized and dst.materialized and outcount and comm.world.move_bytes:
-        unpack_bytes(src.bytes, position, dst.bytes, datatype, outcount, plan=plan)
-    comm.world.trace("unpack", rank=comm.rank, nbytes=nbytes, ncalls=ncalls)
-    return position + nbytes

@@ -104,7 +104,6 @@ class TransitMessage:
         "operation",
         "data_arrived",
         "data_cond",
-        "synchronous",
         "transport",
     )
 
@@ -118,7 +117,6 @@ class TransitMessage:
         payload: Payload,
         eager: bool,
         operation: "SendOperation",
-        synchronous: bool = False,
         context_id: int = 0,
     ):
         self.source = source
@@ -132,7 +130,6 @@ class TransitMessage:
         self.operation = operation
         self.data_arrived = False  # rendezvous: payload landed
         self.data_cond: SimCondition | None = None
-        self.synchronous = synchronous
         self.transport = operation.transport
 
 
@@ -160,7 +157,6 @@ class SendOperation:
         packed: bool,
         derived: bool,
         wire_factor: float = 1.0,
-        synchronous: bool = False,
         on_buffer_free: Callable[[], None] | None = None,
         context_id: int = 0,
     ):
@@ -193,10 +189,6 @@ class SendOperation:
         self.eager = self.transport.uses_eager(
             payload.nbytes, packed=packed, derived=derived
         )
-        if synchronous:
-            # Ssend semantics: completion requires the matching receive,
-            # i.e. always take the handshaking path.
-            self.eager = False
         self.handle = SendHandle(world, f"send->{dest} tag={tag} n={payload.nbytes}")
         self.message = TransitMessage(
             source=proc.rank,
@@ -206,7 +198,6 @@ class SendOperation:
             payload=payload,
             eager=self.eager,
             operation=self,
-            synchronous=synchronous,
             context_id=context_id,
         )
         self.message.data_cond = SimCondition(world.kernel, f"data:{proc.rank}->{dest}")

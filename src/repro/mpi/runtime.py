@@ -27,7 +27,6 @@ from ..net.flows import FlowEngine
 from ..net.transport import NetworkTransport, ShmTransport, Transport, transport_for_pair
 from ..obs import NULL_RECORDER, MetricsRegistry, SpanRecorder
 from ..sim.kernel import Kernel
-from ..sim.sync import SimCondition
 from ..sim.trace import NullTracer, Tracer
 from .buffers import AttachedBuffer
 from .comm import Comm
@@ -48,7 +47,6 @@ class Process:
             on_match=self._on_match,
             on_depth=self._record_queue_depth if world.obs.enabled else None,
         )
-        self.arrival_cond = SimCondition(world.kernel, f"arrivals@{rank}")
         self.attached: AttachedBuffer | None = None
         #: Whether this rank's recently used buffers may still be cached.
         #: The benchmark flusher clears it; data-touching operations set it.
@@ -63,7 +61,6 @@ class Process:
     def deliver(self, message) -> None:
         """Kernel context: a message/RTS reaches this process."""
         self.inbox.on_message(message)
-        self.arrival_cond.notify_all(cause=message.operation.delivery_cause)
 
     def _record_queue_depth(self, unexpected: int, posted: int) -> None:
         """Traced runs only: flat events behind the Chrome counter lane."""

@@ -1,4 +1,4 @@
-"""One-sided communication: windows, Put/Get/Accumulate, fences.
+"""One-sided communication: windows, Put, fences.
 
 Active-target synchronization with ``Win_fence`` only — the mode the
 paper benchmarks (section 2.5).  Transfers issued inside an epoch are
@@ -32,7 +32,6 @@ __all__ = ["Win"]
 class _QueuedOp:
     """One origin-side RMA operation awaiting the closing fence."""
 
-    kind: str  # "put" | "get" | "accumulate"
     nbytes: int
     wire_time: float
     apply: Callable[[], None]  # functional data movement
@@ -208,140 +207,13 @@ class Win:
             tplan.unpack_from(payload.data, 0, window)
 
         self._pending.append(
-            _QueuedOp("put", nbytes, wire, apply,
+            _QueuedOp(nbytes, wire, apply,
                       transport_kind=transport.kind,
                       land_latency=transport.control_latency)
         )
         comm.world.metrics.counter("rma.ops").inc()
         comm.world.metrics.counter("rma.bytes").inc(nbytes)
         comm.world.trace("rma.put", rank=comm.rank, target=target_rank, nbytes=nbytes,
-                         transport=transport.kind)
-
-    def Get(
-        self,
-        origin,
-        target_rank: int,
-        *,
-        origin_count: int | None = None,
-        origin_datatype: Datatype | None = None,
-        target_disp: int = 0,
-        target_count: int | None = None,
-        target_datatype: Datatype | None = None,
-    ) -> None:
-        """``MPI_Get``: transfer target window data into a local buffer,
-        completing at the closing fence."""
-        self._require_epoch("Get")
-        comm = self.comm
-        cost = comm.world.cost
-        task = comm.process.task
-        origin_buf, origin_count, origin_datatype, origin_plan = comm._resolve(
-            origin, origin_count, origin_datatype
-        )
-        nbytes = origin_plan.nbytes
-        if target_datatype is None:
-            target_datatype = BYTE
-            target_count = nbytes
-        elif target_count is None:
-            target_count = nbytes // target_datatype.size if target_datatype.size else 0
-        target_datatype.require_committed()
-        target_plan = plan_for(target_datatype, target_count, comm.world.metrics)
-        if target_plan.nbytes != nbytes:
-            raise WindowError(
-                f"Get: origin holds {nbytes} bytes but target spec carries "
-                f"{target_plan.nbytes}"
-            )
-        target_buf = self._target_buffer(target_rank, "Get")
-        self._check_target_region(target_buf, target_disp, target_plan, "Get")
-        task.sleep(cost.call())
-        transport = comm.world.transport_for(
-            comm.process.rank, comm._world_rank(target_rank)
-        )
-        wire = (
-            transport.transfer_time(nbytes, factor=cost.onesided_factor(nbytes))
-            if nbytes
-            else 0.0
-        )
-        origin_pattern = origin_plan.pattern
-        scatter_cost = (
-            0.0
-            if origin_pattern.is_contiguous
-            else cost.unstaging(origin_pattern, comm.process.cache_warm)
-        )
-        tplan, tcount, tdisp = target_plan, target_count, target_disp
-        oplan = origin_plan
-
-        def apply() -> None:
-            if not target_buf.materialized or not origin_buf.materialized or tcount == 0:
-                return
-            window = target_buf.bytes[tdisp:]
-            tplan.check_fits(window.size, "Get target")
-            staged = np.empty(nbytes, dtype=np.uint8)
-            tplan.pack_into(window, staged)
-            oplan.unpack_from(staged, 0, origin_buf.bytes)
-
-        self._pending.append(
-            _QueuedOp("get", nbytes, wire + scatter_cost, apply,
-                      transport_kind=transport.kind,
-                      land_latency=transport.control_latency)
-        )
-        comm.world.metrics.counter("rma.ops").inc()
-        comm.world.metrics.counter("rma.bytes").inc(nbytes)
-        comm.world.trace("rma.get", rank=comm.rank, target=target_rank, nbytes=nbytes,
-                         transport=transport.kind)
-
-    def Accumulate(
-        self,
-        origin: np.ndarray,
-        target_rank: int,
-        *,
-        op: str = "sum",
-        target_disp: int = 0,
-    ) -> None:
-        """``MPI_Accumulate`` with a numpy origin array; element type is
-        discovered from the array, and ``target_disp`` is in bytes."""
-        self._require_epoch("Accumulate")
-        from .collectives import REDUCE_OPS
-
-        if op not in REDUCE_OPS:
-            raise WindowError(f"unknown accumulate op {op!r}")
-        comm = self.comm
-        cost = comm.world.cost
-        task = comm.process.task
-        if not isinstance(origin, np.ndarray):
-            raise WindowError("Accumulate requires a numpy origin array")
-        nbytes = origin.nbytes
-        target_buf = self._target_buffer(target_rank, "Accumulate")
-        if target_disp < 0 or target_disp + nbytes > target_buf.nbytes:
-            raise WindowError(
-                f"Accumulate: {nbytes} bytes at displacement {target_disp} outside "
-                f"the {target_buf.nbytes}-byte window"
-            )
-        task.sleep(cost.call())
-        transport = comm.world.transport_for(
-            comm.process.rank, comm._world_rank(target_rank)
-        )
-        wire = (
-            transport.transfer_time(nbytes, factor=cost.onesided_factor(nbytes))
-            if nbytes
-            else 0.0
-        )
-        snapshot = origin.copy()
-        combine = REDUCE_OPS[op]
-
-        def apply() -> None:
-            if not target_buf.materialized or nbytes == 0:
-                return
-            region = target_buf.bytes[target_disp : target_disp + nbytes].view(snapshot.dtype)
-            combine(region, snapshot.reshape(-1), out=region)
-
-        self._pending.append(
-            _QueuedOp("accumulate", nbytes, wire, apply,
-                      transport_kind=transport.kind,
-                      land_latency=transport.control_latency)
-        )
-        comm.world.metrics.counter("rma.ops").inc()
-        comm.world.metrics.counter("rma.bytes").inc(nbytes)
-        comm.world.trace("rma.acc", rank=comm.rank, target=target_rank, nbytes=nbytes,
                          transport=transport.kind)
 
     # ------------------------------------------------------------------

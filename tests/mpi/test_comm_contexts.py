@@ -1,58 +1,41 @@
-"""Communicator context tests: Dup/Split isolation and rank mapping."""
+"""Communicator context tests: Split isolation and rank mapping."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, ANY_TAG, CommunicatorError, run_mpi
+from repro.mpi import ANY_SOURCE, ANY_TAG, CommunicatorError, run_mpi, wait_all
 
 
-class TestDup:
-    def test_dup_isolates_traffic(self, ideal):
-        """A message on the duplicate never matches a world receive with
-        the same (source, tag), and vice versa."""
+class TestContextIsolation:
+    def test_split_isolates_traffic(self, ideal):
+        """A message on a derived communicator never matches a parent
+        receive with the same (source, tag), and vice versa."""
 
         def main(comm):
-            dup = comm.Dup()
+            sub = comm.Split(color=0)
             if comm.rank == 0:
                 comm.Send(np.array([1.0]), dest=1, tag=7)
-                dup.Send(np.array([2.0]), dest=1, tag=7)
+                sub.Send(np.array([2.0]), dest=1, tag=7)
             else:
                 buf = np.zeros(1)
-                dup.Recv(buf, source=0, tag=7)  # must get the dup message
-                got_dup = buf[0]
+                sub.Recv(buf, source=0, tag=7)  # must get the sub message
+                got_sub = buf[0]
                 comm.Recv(buf, source=0, tag=7)
-                return (got_dup, buf[0])
+                return (got_sub, buf[0])
 
         assert run_mpi(main, 2, ideal).results[1] == (2.0, 1.0)
 
-    def test_dup_same_topology(self, ideal):
+    def test_consecutive_splits_get_distinct_contexts(self, ideal):
         def main(comm):
-            dup = comm.Dup()
-            return (dup.rank, dup.size, dup.context_id != comm.context_id)
-
-        results = run_mpi(main, 3, ideal).results
-        assert results == [(0, 3, True), (1, 3, True), (2, 3, True)]
-
-    def test_consecutive_dups_get_distinct_contexts(self, ideal):
-        def main(comm):
-            a = comm.Dup()
-            b = comm.Dup()
+            a = comm.Split(color=0)
+            b = comm.Split(color=0)
             return (a.context_id, b.context_id)
 
         results = run_mpi(main, 2, ideal).results
         assert results[0] == results[1]  # agreed across ranks
         assert results[0][0] != results[0][1]  # distinct contexts
-
-    def test_collectives_work_on_dup(self, ideal):
-        def main(comm):
-            dup = comm.Dup()
-            out = np.zeros(1)
-            dup.Allreduce(np.array([float(dup.rank)]), out)
-            return out[0]
-
-        assert run_mpi(main, 4, ideal).results == [6.0] * 4
 
 
 class TestSplit:
@@ -62,8 +45,9 @@ class TestSplit:
             # Exchange within the subgroup: neighbour = rank ^ 1 in sub.
             peer = 1 - sub.rank if sub.size == 2 else sub.rank
             buf = np.zeros(1)
-            sub.Sendrecv(np.array([float(comm.rank)]), dest=peer, recvbuf=buf,
-                         source=peer)
+            req = sub.Irecv(buf, source=peer)
+            sub.Send(np.array([float(comm.rank)]), dest=peer)
+            req.wait()
             return (sub.rank, sub.size, buf[0])
 
         results = run_mpi(main, 4, ideal).results
@@ -95,9 +79,17 @@ class TestSplit:
     def test_subcomm_collectives(self, ideal):
         def main(comm):
             sub = comm.Split(color=comm.rank // 2)
-            out = np.zeros(1)
-            sub.Allreduce(np.array([float(comm.rank)]), out)
-            return out[0]
+            sub.Barrier()
+            # Sum over the subgroup: every member sends its value to
+            # every other member.
+            mine = np.array([float(comm.rank)])
+            values = np.zeros((sub.size, 1))
+            values[sub.rank] = mine
+            others = [r for r in range(sub.size) if r != sub.rank]
+            reqs = [sub.Irecv(values[r], source=r) for r in others]
+            reqs += [sub.Isend(mine, dest=r) for r in others]
+            wait_all(reqs)
+            return values.sum()
 
         results = run_mpi(main, 4, ideal).results
         assert results == [1.0, 1.0, 5.0, 5.0]  # 0+1 and 2+3

@@ -85,18 +85,11 @@ def test_dup_of_uncommitted_stays_uncommitted():
 def test_envelope_and_contents():
     v = make_vector(4, 2, 3, DOUBLE)
     assert v.get_envelope() == "vector"
-    contents = v.get_contents()
-    assert contents["count"] == 4
-    assert contents["blocklength"] == 2
-    assert contents["stride"] == 3
-    assert contents["oldtype"] is DOUBLE
 
     s = make_struct([1], [0], [INT])
     assert s.get_envelope() == "struct"
-    assert s.get_contents()["types"] == [INT]
 
     assert DOUBLE.get_envelope() == "named"
-    assert DOUBLE.get_contents()["np_dtype"] == "<f8"
 
 
 def test_repr_mentions_state():

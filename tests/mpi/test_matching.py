@@ -104,22 +104,6 @@ class TestBasicMatching:
         assert inbox.pending_unexpected == 1
 
 
-class TestProbe:
-    def test_probe_finds_without_removing(self):
-        inbox = Inbox()
-        inbox.on_message(FakeMessage(0, 5, uid=1))
-        assert inbox.probe(0, 5).uid == 1
-        assert inbox.pending_unexpected == 1
-
-    def test_probe_wildcards(self):
-        inbox = Inbox()
-        inbox.on_message(FakeMessage(2, 9))
-        assert inbox.probe(ANY_SOURCE, ANY_TAG) is not None
-        assert inbox.probe(2, ANY_TAG) is not None
-        assert inbox.probe(1, ANY_TAG) is None
-        assert inbox.probe(ANY_SOURCE, 3) is None
-
-
 @given(
     # Sequence of events: ("msg", src, tag) arrivals and ("recv", src, tag)
     # posts, with small rank/tag alphabets to force collisions.

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mpi import DOUBLE, PackError, SimBuffer, make_indexed_block, make_vector, run_mpi
+from repro.mpi import DOUBLE, PackError, SimBuffer, make_vector, run_mpi
 
 
 class TestPackApi:
@@ -140,15 +140,3 @@ class TestBulkEquivalence:
         t_single, t_bulk = run_mpi(main, 1, skx).results[0]
         assert t_bulk - t_single == pytest.approx((2_500 - 1) * 6e-9, rel=1e-6)
 
-    def test_unpack_bulk(self, ideal, doubles):
-        from repro.mpi.pack import unpack_elements_bulk
-
-        def main(comm):
-            idx = make_indexed_block(1, [0, 3, 7, 10], DOUBLE).commit()
-            packed = np.array([1.0, 2.0, 3.0, 4.0])
-            out = np.zeros(11, np.float64)
-            unpack_elements_bulk(comm, packed, 0, out, 1, idx)
-            return out.copy()
-
-        out = run_mpi(main, 1, ideal).results[0]
-        assert out[0] == 1.0 and out[3] == 2.0 and out[7] == 3.0 and out[10] == 4.0

@@ -262,48 +262,6 @@ class TestIrregularPrecompute:
             idx.free()
 
 
-class TestPlanCollectives:
-    def test_gather_with_derived_datatype(self, ideal):
-        v = make_vector(4, 1, 2, DOUBLE).commit()
-        try:
-
-            def main(comm):
-                send = np.full(7, float(comm.rank + 1))
-                if comm.rank == 0:
-                    recv = np.zeros((comm.size, 7))
-                    comm.Gather(send, recv, root=0, count=1, datatype=v)
-                    return recv
-                comm.Gather(send, None, root=0, count=1, datatype=v)
-
-            out = run_mpi(main, 3, ideal).results[0]
-            for rank in range(3):
-                row = np.zeros(7)
-                row[[0, 2, 4, 6]] = rank + 1
-                assert np.array_equal(out[rank], row), rank
-        finally:
-            v.free()
-
-    def test_scatter_with_derived_datatype(self, ideal):
-        v = make_vector(4, 1, 2, DOUBLE).commit()
-        try:
-
-            def main(comm):
-                recv = np.zeros(7)
-                send = None
-                if comm.rank == 0:
-                    send = np.arange(comm.size * 7, dtype=np.float64).reshape(comm.size, 7)
-                comm.Scatter(send, recv, root=0, count=1, datatype=v)
-                return recv
-
-            results = run_mpi(main, 3, ideal).results
-            for rank, out in enumerate(results):
-                row = np.zeros(7)
-                row[[0, 2, 4, 6]] = rank * 7 + np.array([0, 2, 4, 6], dtype=np.float64)
-                assert np.array_equal(out, row), rank
-        finally:
-            v.free()
-
-
 class TestPlanShape:
     def test_plan_pattern_matches_datatype_pattern(self):
         v = make_vector(8, 2, 3, DOUBLE).commit()

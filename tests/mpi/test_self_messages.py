@@ -43,11 +43,3 @@ class TestSelfMessages:
 
         with pytest.raises(DeadlockError):
             run_mpi(main, 1, ideal)
-
-    def test_sendrecv_to_self(self, ideal, doubles):
-        def main(comm):
-            out = np.zeros(8, np.float64)
-            comm.Sendrecv(doubles(8), dest=0, recvbuf=out, source=0)
-            return out[7]
-
-        assert run_mpi(main, 1, ideal).results[0] == 7.0

@@ -1,4 +1,4 @@
-"""Coverage for user_scatter and derived-origin Get."""
+"""Coverage for user_scatter."""
 
 from __future__ import annotations
 
@@ -46,49 +46,3 @@ class TestUserScatter:
 
         assert run_mpi(main, 1, ideal).results[0]
 
-
-class TestGetDerivedOrigin:
-    def test_get_scatters_into_strided_origin(self, ideal):
-        def main(comm):
-            vec = make_vector(8, 1, 2, DOUBLE).commit()
-            if comm.rank == 0:
-                local = np.zeros(16, dtype=np.float64)
-                win = comm.Win_create(None)
-                win.Fence()
-                win.Get(local, 1, origin_count=1, origin_datatype=vec)
-                win.Fence()
-                return local.copy()
-            src = np.arange(8, dtype=np.float64) * 2
-            win = comm.Win_create(src)
-            win.Fence()
-            win.Fence()
-
-        out = run_mpi(main, 2, ideal).results[0]
-        assert np.array_equal(out[::2], np.arange(8, dtype=np.float64) * 2)
-        assert np.all(out[1::2] == 0)
-
-    def test_get_derived_charges_scatter_time(self, ideal):
-        from repro.mpi import SimBuffer
-
-        def run(derived: bool):
-            def main(comm):
-                n = 80_000
-                if comm.rank == 0:
-                    win = comm.Win_create(None)
-                    win.Fence()
-                    t0 = comm.Wtime()
-                    if derived:
-                        vec = make_vector(n // 8, 1, 2, DOUBLE).commit()
-                        win.Get(SimBuffer.virtual(2 * n), 1,
-                                origin_count=1, origin_datatype=vec)
-                    else:
-                        win.Get(SimBuffer.virtual(n), 1)
-                    win.Fence()
-                    return comm.Wtime() - t0
-                win = comm.Win_create(SimBuffer.virtual(n))
-                win.Fence()
-                win.Fence()
-
-            return run_mpi(main, 2, ideal).results[0]
-
-        assert run(derived=True) > run(derived=False)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.mpi import run_mpi
+from repro.mpi import run_mpi, wait_all
 from repro.net import fat_tree, flat, make_topology
 
 
@@ -30,25 +30,43 @@ def ring_program(comm):
     return recv[0]
 
 
+def _exchange(comm, send_slot, recv):
+    """Post a receive from every other rank into ``recv[source]``, then
+    send ``send_slot(dest)`` to every other rank, all at once."""
+    others = [r for r in range(comm.size) if r != comm.rank]
+    reqs = [comm.Irecv(recv[src], source=src) for src in others]
+    reqs += [comm.Isend(send_slot(dest), dest=dest) for dest in others]
+    wait_all(reqs)
+
+
 def allgather_program(comm):
+    """Every rank sends its block to every other rank."""
     me = np.full(2048, float(comm.rank))
     recv = np.zeros((comm.size, 2048))
-    comm.Allgather(me, recv)
+    recv[comm.rank] = me
+    _exchange(comm, lambda dest: me, recv)
     return recv[:, 0].copy()
 
 
 def alltoall_program(comm):
+    """Every rank sends slot ``dest`` of its buffer to rank ``dest``."""
     send = np.zeros((comm.size, 2048))
     for dest in range(comm.size):
         send[dest] = comm.rank * 100 + dest
     recv = np.zeros((comm.size, 2048))
-    comm.Alltoall(send, recv)
+    recv[comm.rank] = send[comm.rank]
+    _exchange(comm, lambda dest: send[dest], recv)
     return recv[:, 0].copy()
 
 
 def bcast_program(comm):
+    """Root fan-out: rank 0 sends the buffer to each rank in turn."""
     buf = np.full(NBYTES // 8, 3.0) if comm.rank == 0 else np.zeros(NBYTES // 8)
-    comm.Bcast(buf, root=0)
+    if comm.rank == 0:
+        for dest in range(1, comm.size):
+            comm.Send(buf, dest=dest)
+    else:
+        comm.Recv(buf, source=0)
     return buf[0]
 
 
@@ -81,9 +99,6 @@ class TestContentionOrderings:
             (ring_program, 16),
             (alltoall_program, 8),
             (alltoall_program, 16),
-            # The gather+bcast allgather serializes through the root, so
-            # its flows only start overlapping once several nodes feed
-            # the same uplink.
             (allgather_program, 16),
         ],
     )
