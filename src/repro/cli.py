@@ -508,11 +508,19 @@ def cmd_perf(args: argparse.Namespace) -> int:
         except LookupError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    # A malformed option is a usage error, caught before any gate runs.
+    # A malformed option, or a key no selected gate reads, is a usage
+    # error, caught before any gate runs.
     try:
         options = _parse_options(args.option)
         for spec in specs:
             resolve_settings(spec, options)
+        known = frozenset().union(*(spec.option_keys for spec in specs))
+        unknown = sorted(set(options) - known)
+        if unknown:
+            raise ValueError(
+                f"no selected gate reads option {', '.join(unknown)} "
+                f"(known: {', '.join(sorted(known))})"
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -46,12 +46,14 @@ import numpy as np
 from ..mpi.buffers import SimBuffer
 from ..mpi.comm import Comm
 from ..mpi.datatypes import DOUBLE, Datatype, make_subarray
+from ..net.transport import ShmTransport
 
 __all__ = [
     "HALO_SCHEMES",
     "HaloSpec",
     "HaloRankResult",
     "advise_face",
+    "auto_delegates",
     "halo_program",
 ]
 
@@ -282,33 +284,45 @@ def advise_face(spec: HaloSpec, platform, transport=None):
         face.free()
 
 
+def auto_delegates(spec: HaloSpec, platform, nranks: int) -> list[str]:
+    """The scheme ``auto`` delegates to on each rank of an ``nranks``
+    ring over ``platform``, indexed by world rank.
+
+    The rank-regime rule: a rank is on-node when the platform's shm
+    transport is reachable and *both* its ring neighbours share its
+    node, and then prices the face on the shm transport.  Every other
+    rank prices it on the network (a rank with mixed neighbours is
+    paced by its off-node face).  So on-node and off-node ranks of one
+    job may delegate differently.  Pure host-side arithmetic: the face
+    is priced once per regime present."""
+    topo = platform.topology
+    shm = platform.shm_reachable
+    by_regime: dict[bool, str] = {}
+    delegates = []
+    for rank in range(nranks):
+        west, east = (rank - 1) % nranks, (rank + 1) % nranks
+        on_node = shm and topo.same_node(rank, west) and topo.same_node(rank, east)
+        if on_node not in by_regime:
+            transport = ShmTransport(platform.shm, platform.memory) if on_node else None
+            by_regime[on_node] = advise_face(spec, platform, transport).chosen
+        delegates.append(by_regime[on_node])
+    return delegates
+
+
 def _resolve_auto(comm: Comm, spec: HaloSpec, memo: WeakKeyDictionary) -> str:
-    """Price the face datatype on this platform and pick the cheapest
-    delivering scheme — pure host-side arithmetic, no virtual time.
+    """This rank's ``auto`` delegate (see :func:`auto_delegates`): no
+    virtual time passes.  ``comm`` is the world communicator, so its
+    ranks are world ranks.
 
-    Transport-aware: a rank whose *both* ring neighbors are co-located
-    prices the faces on the shm transport, so on-node and off-node
-    ranks of the same job may resolve ``auto`` to different schemes.
-    A rank with mixed neighbors keeps the network pricing (its slower
-    face dominates the exchange).
-
-    The answer depends only on the platform and that regime, so it is
-    priced once per world and regime (at most twice per job) and
-    memoized in ``memo``, keyed on the world: a program object reused
-    across jobs prices each job's platform afresh."""
+    The delegates depend only on the platform and the ring, so they
+    are priced once per world and memoized in ``memo``, keyed on the
+    world: a program object reused across jobs prices each job's
+    platform afresh."""
     world = comm.world
-    on_node = False
-    if world.shm_transport is not None:
-        me = comm._world_rank(comm.rank)
-        west = comm._world_rank((comm.rank - 1) % comm.size)
-        east = comm._world_rank((comm.rank + 1) % comm.size)
-        kinds = {world.transport_for(me, n).kind for n in (west, east)}
-        on_node = kinds == {"shm"}
-    by_regime = memo.setdefault(world, {})
-    if on_node not in by_regime:
-        transport = world.shm_transport if on_node else None
-        by_regime[on_node] = advise_face(spec, world.platform, transport).chosen
-    return by_regime[on_node]
+    delegates = memo.get(world)
+    if delegates is None:
+        delegates = memo[world] = auto_delegates(spec, world.platform, comm.size)
+    return delegates[comm.rank]
 
 
 def halo_program(spec: HaloSpec):

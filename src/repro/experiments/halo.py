@@ -24,8 +24,13 @@ for off-node pairs and over the shm transport for on-node pairs —
 so ``auto`` can resolve differently per regime.  Inside a run, ``auto``
 prices the face once per world and regime, not once per rank.
 
-The ten simulations (five schemes, each on the topology and on the
-flat fabric) are independent, so they fan out over the ambient
+Up to ten simulations run: five schemes, each on the topology and on
+the flat fabric.  ``auto`` only prices on the host before its first
+``Barrier`` and then runs its delegate's exchange, so when every rank
+on both fabrics resolves to one delegate, the experiment asks
+:func:`~repro.core.halo.auto_delegates` before submitting anything and
+takes that delegate's two runs as the ``auto`` row: eight simulations.
+The simulations are independent, so they fan out over the ambient
 executor's worker pool (:meth:`~repro.exec.Executor.starmap`); a
 serial executor (``--jobs 1``, or a library caller's default) runs
 them in-process.  Either way the rows come out in ``HALO_SCHEMES``
@@ -36,7 +41,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.halo import HALO_SCHEMES, HaloSpec, advise_face, halo_program
+from ..core.halo import (
+    HALO_SCHEMES,
+    HaloSpec,
+    advise_face,
+    auto_delegates,
+    halo_program,
+)
 from ..exec import current_executor
 from ..machine.network import default_shm_model
 from ..machine.platform import Platform
@@ -45,7 +56,7 @@ from ..mpi.costs import CostModel
 from ..mpi.runtime import run_mpi
 from ..net import make_topology
 from ..net.transport import NetworkTransport, ShmTransport
-from ..obs import SpanRecorder
+from ..obs import SpanOnlyRecorder
 from ..obs.critical import extract_critical_path
 from .base import ExperimentResult
 
@@ -69,8 +80,10 @@ def _run_halo_job(
     spec: HaloSpec, nranks: int, platform: Platform, traced: bool
 ) -> _HaloRun:
     """Simulate one halo job (a worker entry point, hence module-level:
-    the rank program is a closure and is built here, not shipped)."""
-    recorder = SpanRecorder() if traced else None
+    the rank program is a closure and is built here, not shipped).
+    A traced job records spans and the wait-for graph only: the
+    critical path reads nothing else."""
+    recorder = SpanOnlyRecorder() if traced else None
     job = run_mpi(halo_program(spec), nranks=nranks, platform=platform, tracer=recorder)
     contention = shm = 0.0
     if recorder is not None:
@@ -158,6 +171,15 @@ def run_halo_experiment(
     contention_found = False
     shm_found = False
     auto_choices: dict[str, int] = {}
+    # ``auto`` adds no virtual time to its delegate's exchange: when
+    # every rank on both fabrics resolves to one delegate, that
+    # delegate's runs are the auto runs, and auto is not simulated.
+    delegates = {
+        *auto_delegates(spec, plat_topo, nranks),
+        *auto_delegates(spec, plat, nranks),
+    }
+    reused = delegates.pop() if len(delegates) == 1 else None
+    simulated = [s for s in HALO_SCHEMES if s != "auto" or reused is None]
     # Each scheme's traced topology run is submitted before its flat
     # run: the topology runs cost several times more, so queuing them
     # first keeps the pool's last wave short.
@@ -165,11 +187,15 @@ def run_halo_experiment(
         _run_halo_job,
         [
             (spec.with_scheme(scheme), nranks, job_plat, traced)
-            for scheme in HALO_SCHEMES
+            for scheme in simulated
             for job_plat, traced in ((plat_topo, True), (plat, False))
         ],
     )
-    for scheme, topo_run, flat_run in zip(HALO_SCHEMES, runs[0::2], runs[1::2]):
+    by_scheme = dict(zip(simulated, zip(runs[0::2], runs[1::2])))
+    if reused is not None:
+        by_scheme["auto"] = by_scheme[reused]
+    for scheme in HALO_SCHEMES:
+        topo_run, flat_run = by_scheme[scheme]
         if scheme == "auto":
             auto_choices = topo_run.chosen
         contention = topo_run.contention

@@ -45,7 +45,7 @@ class Process:
         self.rank = rank
         self.inbox = Inbox(
             on_match=self._on_match,
-            on_depth=self._record_queue_depth if world.obs.enabled else None,
+            on_depth=self._record_queue_depth if world.obs.keeps_events else None,
         )
         self.attached: AttachedBuffer | None = None
         #: Whether this rank's recently used buffers may still be cached.
@@ -63,7 +63,8 @@ class Process:
         self.inbox.on_message(message)
 
     def _record_queue_depth(self, unexpected: int, posted: int) -> None:
-        """Traced runs only: flat events behind the Chrome counter lane."""
+        """Bound only when the recorder keeps flat events: these are
+        the flat events behind the Chrome counter lane."""
         self.world.trace(
             "queue.depth", rank=self.rank, unexpected=unexpected, posted=posted
         )

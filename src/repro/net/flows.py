@@ -63,6 +63,14 @@ def max_min_rates(
     round-off), and each flow is either at its demand cap or crosses at
     least one saturated link — the max-min bottleneck condition.
 
+    Every unfrozen flow has the same rate, the *level*: all start at
+    0.0 and each round adds one increment to all of them.  So a round's
+    demand bound is the lowest unfrozen demand minus the level
+    (subtracting one value keeps the order under rounding), flows reach
+    their cap in demand order, and a round freezes only the capped
+    flows and the flows listed on links it saturated.  Per-link counts
+    of unfrozen flows drop as flows freeze instead of being recounted.
+
     A plain Python loop: fabric jobs re-solve a few dozen flows at a
     time, where per-round numpy overhead costs more than it saves.
     """
@@ -77,38 +85,64 @@ def max_min_rates(
             raise ValueError("link capacities must be positive")
     rates = [0.0] * n
     headroom = list(capacities)
-    active = list(range(n))
-    while active:
-        counts: dict[int, int] = {}
-        for i in active:
-            for link in routes[i]:
-                counts[link] = counts.get(link, 0) + 1
-        inc = min(demands[i] - rates[i] for i in active)
+    # Unfrozen flows per link (a link with none has no entry), and
+    # every flow each link carries.
+    counts: dict[int, int] = {}
+    carried: dict[int, list[int]] = {}
+    for i, route in enumerate(routes):
+        for link in route:
+            counts[link] = counts.get(link, 0) + 1
+            carried.setdefault(link, []).append(i)
+    frozen = [False] * n
+    by_demand = sorted(range(n), key=demands.__getitem__)
+    lowest = 0  # position in ``by_demand`` before which all are frozen
+    unfrozen = n
+    level = 0.0
+    while unfrozen:
+        while frozen[by_demand[lowest]]:
+            lowest += 1
+        inc = demands[by_demand[lowest]] - level
         for link, count in counts.items():
             share = headroom[link] / count
             if share < inc:
                 inc = share
         if inc > 0:
-            for i in active:
-                rates[i] += inc
+            level += inc
             for link, count in counts.items():
                 headroom[link] -= inc * count
-        saturated = {
-            link
-            for link in counts
-            if headroom[link] <= _EPS_REL * capacities[link]
-        }
-        still = []
-        for i in active:
-            if rates[i] >= demands[i] * (1 - _EPS_REL):
+        saturated = [
+            link for link in counts if headroom[link] <= _EPS_REL * capacities[link]
+        ]
+        newly: list[int] = []
+        while lowest < n:
+            i = by_demand[lowest]
+            if not frozen[i]:
+                if level < demands[i] * (1 - _EPS_REL):
+                    break
                 rates[i] = demands[i]
-                continue
-            if any(link in saturated for link in routes[i]):
-                continue
-            still.append(i)
-        if len(still) == len(active):  # pragma: no cover - float pathology guard
+                frozen[i] = True
+                newly.append(i)
+            lowest += 1
+        for link in saturated:
+            for i in carried[link]:
+                if not frozen[i]:
+                    rates[i] = level
+                    frozen[i] = True
+                    newly.append(i)
+        if not newly:  # pragma: no cover - float pathology guard
             break
-        active = still
+        unfrozen -= len(newly)
+        for i in newly:
+            for link in routes[i]:
+                left = counts[link] - 1
+                if left:
+                    counts[link] = left
+                else:
+                    del counts[link]
+    if unfrozen:  # pragma: no cover - float pathology guard
+        for i in range(n):
+            if not frozen[i]:
+                rates[i] = level
     return rates
 
 
@@ -318,13 +352,14 @@ class FlowEngine:
             eta = now + flow.remaining / rate
             if next_finish is None or eta < next_finish:
                 next_finish = eta
-        if self.tracer is not None and self.tracer.enabled:
+        if self.tracer is not None and self.tracer.keeps_events:
             self._trace_utilization(now, flows)
         assert next_finish is not None
         self.kernel.call_later(max(0.0, next_finish - now), self._fire, self._epoch)
 
     def _trace_utilization(self, now: float, flows: list[Flow]) -> None:
-        """Per-link utilization samples (traced runs only)."""
+        """Per-link utilization samples (only when the tracer keeps
+        flat events: the Chrome exporter is their only reader)."""
         load: dict[int, tuple[float, int]] = {}
         for flow in flows:
             for link in flow.route:

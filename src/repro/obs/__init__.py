@@ -56,7 +56,7 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .recorder import NULL_RECORDER, NullRecorder, SpanRecorder
+from .recorder import NULL_RECORDER, NullRecorder, SpanOnlyRecorder, SpanRecorder
 from .spans import Span
 
 __all__ = [
@@ -72,6 +72,7 @@ __all__ = [
     "span_slack",
     "Span",
     "SpanRecorder",
+    "SpanOnlyRecorder",
     "NullRecorder",
     "NULL_RECORDER",
     "MetricsRegistry",

@@ -5,6 +5,11 @@ drops into ``Kernel(tracer=...)`` unchanged and keeps every flat-event
 consumer (timeline rendering, ``tracer.count(...)`` assertions)
 working, while adding the hierarchical span API on top.
 
+:class:`SpanOnlyRecorder` is a :class:`SpanRecorder` that drops flat
+events: it keeps spans, wait edges, sleeps and task lifetimes, which is
+everything :func:`~repro.obs.critical.extract_critical_path` reads, and
+skips what only the timeline and the Chrome exporter read.
+
 :class:`NullRecorder` *is a* :class:`~repro.sim.trace.NullTracer` and
 is what a non-traced world sees: instrumentation sites guard on
 ``recorder.enabled`` before doing any span work, so the disabled path
@@ -20,7 +25,7 @@ from typing import Any, Iterable
 from ..sim.trace import NullTracer, Tracer, WaitEdge
 from .spans import Span
 
-__all__ = ["SpanRecorder", "NullRecorder", "NULL_RECORDER"]
+__all__ = ["SpanRecorder", "SpanOnlyRecorder", "NullRecorder", "NULL_RECORDER"]
 
 #: Sentinel: ``begin(parent=AUTO)`` parents to the owning rank's
 #: innermost open scoped span; ``parent=None`` forces a detached root.
@@ -200,6 +205,21 @@ class SpanRecorder(Tracer):
 
     def __contains__(self, name: str) -> bool:
         return any(s.name == name for s in self._spans)
+
+
+class SpanOnlyRecorder(SpanRecorder):
+    """A :class:`SpanRecorder` that keeps no flat events.
+
+    For runs that only extract the critical path: ``record`` is a no-op
+    and ``keeps_events`` is False, so sites whose sole output is flat
+    events skip their work.  Spans and the wait-for graph are recorded
+    exactly as by the full recorder.
+    """
+
+    keeps_events = False
+
+    def record(self, time: float, category: str, **fields: Any) -> None:
+        pass
 
 
 class NullRecorder(NullTracer):

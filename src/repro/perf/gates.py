@@ -18,7 +18,10 @@ to its metrics; :func:`run_gate` turns one spec into a
 
 Options are resolved up front: :func:`resolve_settings` parses a gate's
 repeat count and every overridable threshold, so a malformed value
-fails before any workload starts.
+fails before any workload starts.  Each spec declares the option keys
+it reads (:attr:`GateSpec.option_keys`), and a workload that reads an
+undeclared key fails, so the CLI can reject a key no selected gate
+reads instead of running with the default.
 
 Gates self-register into a process-wide registry
 (:func:`register` / :func:`get_gate` / :func:`all_gates`);
@@ -63,22 +66,33 @@ class GateContext:
     every ``measure`` call to ``teardown`` (worktree paths, one-time
     golden results, ...)."""
 
-    def __init__(self, options: dict[str, Any] | None = None):
+    def __init__(
+        self,
+        options: dict[str, Any] | None = None,
+        declared: frozenset[str] | None = None,
+    ):
         self.options: dict[str, Any] = dict(options or {})
+        #: The option keys the gate declares (``None`` accepts any).
+        self.declared = declared
         self.cpus = usable_cpus()
         self.repo = _find_repo()
         self.scratch: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
     def opt_float(self, key: str, default: float) -> float:
-        return _option(self.options, key, default, float)
+        return _option(self.options, self._declared_key(key), default, float)
 
     def opt_int(self, key: str, default: int | None) -> int | None:
-        return _option(self.options, key, default, int)
+        return _option(self.options, self._declared_key(key), default, int)
 
     def opt_str(self, key: str, default: str | None) -> str | None:
-        value = self.options.get(key, default)
+        value = self.options.get(self._declared_key(key), default)
         return None if value is None else str(value)
+
+    def _declared_key(self, key: str) -> str:
+        if self.declared is not None and key not in self.declared:
+            raise LookupError(f"option {key} is read but not declared by the gate")
+        return key
 
 
 def _option(options: dict[str, Any], key: str, default: Any, kind: type) -> Any:
@@ -172,12 +186,22 @@ class GateSpec:
     measure: Callable[[GateContext], dict[str, float]]
     checks: tuple[GateCheck, ...]
     default_repeats: int = 1
+    #: Workload option keys the gate reads, beyond ``<ns>.repeats`` and
+    #: the checks' threshold options (see :attr:`option_keys`).
+    options: tuple[str, ...] = ()
     #: One-time expensive work (git worktrees, golden passes); stash
     #: results in ``ctx.scratch``.
     setup: Callable[[GateContext], None] | None = None
     teardown: Callable[[GateContext], None] | None = None
     #: Static facts for the record (workload description, ...).
     describe: Callable[[GateContext], dict[str, Any]] | None = None
+
+    @property
+    def option_keys(self) -> frozenset[str]:
+        """Every option key the gate reads: ``<ns>.repeats``, each
+        check's threshold option, and the declared workload options."""
+        thresholds = {c.threshold_option for c in self.checks if c.threshold_option}
+        return frozenset({f"{self.ns}.repeats", *thresholds, *self.options})
 
 
 @dataclass
@@ -306,7 +330,7 @@ def run_gate(
     :func:`resolve_settings`) before the workload starts.
     """
     repeats, thresholds = resolve_settings(spec, options)
-    ctx = GateContext(options)
+    ctx = GateContext(options, spec.option_keys)
     telemetry: _host.HostTelemetry | None = None
     samples: list[dict[str, float]] = []
     extra: dict[str, Any] = {}

@@ -32,7 +32,8 @@ run by ``repro perf gate|record``.  Registered gates:
     request, and leave the daemon healthy.
 
 Option keys are namespaced by gate (``exec.min_cache_speedup``,
-``tracing.threshold``, ...); every gate honours ``<ns>.repeats``.  Only
+``tracing.threshold``, ...); every gate honours ``<ns>.repeats`` and
+declares the workload keys it reads in ``GateSpec.options``.  Only
 speed and latency floors take an option: correctness checks (identity,
 goldens, store hits, server health) have fixed thresholds.
 """
@@ -218,6 +219,7 @@ register(
         setup=_tracing_setup,
         teardown=lambda ctx: _teardown_worktree(ctx, "tracing"),
         default_repeats=5,
+        options=("tracing.base",),
         describe=lambda ctx: {
             "base_rev": ctx.scratch.get("base_rev", "unknown"),
             "workload": "10 untraced pingpong cells, 25 iterations, best of 3",
@@ -305,6 +307,7 @@ register(
         setup=lambda ctx: _setup_worktree(ctx, "plan"),
         teardown=lambda ctx: _teardown_worktree(ctx, "plan"),
         default_repeats=5,
+        options=("plan.base",),
         describe=lambda ctx: {
             "base_rev": ctx.scratch.get("base_rev", "unknown"),
             "workload": "repeated derived-type pack_bytes + Send over one "
@@ -410,6 +413,9 @@ register(
         measure=_exec_measure,
         describe=_exec_describe,
         default_repeats=3,
+        options=(
+            "exec.sizes", "exec.iterations", "exec.platform", "exec.jobs", "exec.chunk_size"
+        ),
         checks=(
             GateCheck(
                 name="identity",
@@ -644,6 +650,7 @@ register(
         ns="shm",
         measure=_shm_measure,
         default_repeats=3,
+        options=("shm.ranks",),
         describe=lambda ctx: {
             "workload": "64 golden cells (cold + warm store) and an "
             "all-on-node 64-rank halo with/without the shm transport"
@@ -763,6 +770,7 @@ register(
         ns="kernels",
         measure=_kernel_measure,
         default_repeats=1,
+        options=("kernels.inner_repeats", "kernels.n_runs"),
         describe=lambda ctx: {
             "workload": f"{ctx.opt_int('kernels.n_runs', 4096)} contiguous runs "
             "(gather/scatter)"
@@ -894,6 +902,7 @@ register(
         ns="serve",
         measure=_serve_measure,
         default_repeats=1,
+        options=("serve.clients", "serve.rounds"),
         describe=lambda ctx: {
             "workload": f"{ctx.opt_int('serve.clients', 4)} concurrent clients "
             f"x {ctx.opt_int('serve.rounds', 3)} synchronized rounds of a "

@@ -83,6 +83,11 @@ class Tracer:
     #: Off on the base tracer; ``SpanRecorder`` turns it on.  A class
     #: attribute so the disabled check is one attribute load.
     wait_edges_enabled: bool = False
+    #: Whether ``record`` keeps flat events.  Sites whose only output
+    #: is flat events (link-utilization samples, queue depths) skip
+    #: their work when it is False: on ``NullTracer`` and on a
+    #: recorder that keeps spans only.
+    keeps_events: bool = True
 
     def __init__(self) -> None:
         self._events: list[TraceEvent] = []
@@ -142,6 +147,8 @@ class Tracer:
 
 class NullTracer(Tracer):
     """A tracer that drops everything (the default, for speed)."""
+
+    keeps_events = False
 
     @property
     def enabled(self) -> bool:

@@ -8,6 +8,7 @@ from repro.core.halo import HALO_SCHEMES, HaloSpec, advise_face, halo_program
 from repro.machine import default_shm_model, get_platform
 from repro.mpi import run_mpi
 from repro.net import flat, make_topology
+from repro.obs import SpanOnlyRecorder, SpanRecorder, extract_critical_path
 
 
 SMALL = HaloSpec(nx=8, ny=6, ghost=2, iterations=1, materialize=True)
@@ -134,7 +135,9 @@ class TestAutoPricedOncePerWorld:
 
     def test_halo_64_experiment_prices_once_per_auto_world(self, calls):
         """The benchmark's halo shape (64 ranks, fat-tree, 4 per node,
-        cyclic; quick faces): one pricing per auto job, two in all."""
+        cyclic; quick faces): the experiment prices the face once per
+        fabric in the parent, two in all.  Every rank resolves to one
+        delegate, so no auto job runs and prices again."""
         from repro.experiments.halo import run_halo_experiment
 
         result = run_halo_experiment(quick=True, ranks=64)
@@ -150,3 +153,47 @@ class TestAutoPricedOncePerWorld:
         for plat, want in ((impi, "copying"), (mvapich, "vector"), (impi, "copying")):
             results = run_mpi(program, nranks=2, platform=plat).results
             assert {r.chosen for r in results} == {want}
+
+
+class TestSpanOnlyRecording:
+    """The halo experiment's traced jobs keep spans and the wait-for
+    graph but no flat events; their critical path is exactly the one
+    the full recorder yields."""
+
+    #: The halo experiment's full-size face.
+    SPEC = HaloSpec(nx=256, ny=64, ghost=4, iterations=2)
+
+    @staticmethod
+    def fabric(skx, name):
+        """The platform, and the resource its critical path must show."""
+        if name == "fat-tree cyclic":  # every face off-node
+            topo = make_topology("fat-tree", 8, ranks_per_node=4, placement="cyclic")
+            return skx.with_topology(topo), "contention"
+        if name == "fat-tree block shm":  # co-located faces on shm
+            topo = make_topology("fat-tree", 8, ranks_per_node=4, placement="block")
+            return skx.with_topology(topo).with_shm(default_shm_model()), "shm"
+        return skx.with_topology(make_topology("torus2d", 8)), None
+
+    @pytest.mark.parametrize(
+        "fabric", ["fat-tree cyclic", "fat-tree block shm", "torus2d"]
+    )
+    @pytest.mark.parametrize("scheme", HALO_SCHEMES)
+    def test_critical_path_is_bit_identical(self, skx, fabric, scheme):
+        platform, resource = self.fabric(skx, fabric)
+        program = halo_program(self.SPEC.with_scheme(scheme))
+        full, span_only = SpanRecorder(), SpanOnlyRecorder()
+        seen = []
+        for recorder in (full, span_only):
+            job = run_mpi(program, nranks=8, platform=platform, tracer=recorder)
+            totals = extract_critical_path(recorder, job.virtual_time).by_resource()
+            seen.append((
+                job.virtual_time.hex(),
+                job.events,
+                len(recorder.all_spans()),
+                {key: value.hex() for key, value in totals.items()},
+            ))
+        assert seen[0] == seen[1]
+        if resource is not None:
+            assert totals[resource] > 0.0
+        assert len(span_only) == 0
+        assert {"link.util", "net.resolve", "queue.depth"} <= full.categories()

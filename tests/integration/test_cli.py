@@ -456,6 +456,8 @@ def test_perf_option_parsing_rejects_malformed(capsys):
     ["--all", "--option", "kernels.min_gather_speedup=abc"],
     ["--gate", "exec-speedup", "--option", "exec.repeats=three"],
     ["--all", "--option", "=5"],
+    # A key no selected gate reads would leave its default in force.
+    ["--gate", "kernel-speedup", "--option", "kernels.min_gather_sped=5"],
 ])
 def test_perf_gate_bad_option_is_a_usage_error(argv, monkeypatch, capsys):
     """One ``error:`` line and exit 2, before any workload starts."""
@@ -467,6 +469,27 @@ def test_perf_gate_bad_option_is_a_usage_error(argv, monkeypatch, capsys):
     assert ran == [] and out == ""
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_perf_gate_ci_options_are_declared_keys(monkeypatch, capsys):
+    """CI's three floors pass the pre-run key check under ``--all``:
+    every gate starts (the stubbed workloads then raise, so the gates
+    fail with exit 1, not 2)."""
+    from repro.perf import gate_names
+
+    ran = []
+
+    def stub(spec, *args):
+        ran.append(spec.name)
+        raise RuntimeError("stubbed out")
+
+    monkeypatch.setattr("repro.perf.gates._run_workload", stub)
+    assert main(["perf", "gate", "--all",
+                 "--option", "exec.min_cache_speedup=5",
+                 "--option", "plan.min_speedup=1.2",
+                 "--option", "contention.max_overhead=1.5"]) == 1
+    assert capsys.readouterr().err == ""
+    assert ran == gate_names()
 
 
 def test_sweep_host_trace_flag(tmp_path, capsys):

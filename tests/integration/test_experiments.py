@@ -3,8 +3,13 @@ and in full mode."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.cli import main
 from repro.experiments import (
     EXPERIMENTS,
     list_experiments,
@@ -13,6 +18,8 @@ from repro.experiments import (
 )
 from repro.experiments.base import ExperimentResult
 from repro.experiments.halo import run_halo_experiment
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestRegistry:
@@ -49,8 +56,10 @@ class TestInTextExperiments:
 
 
 class TestHaloFanOut:
-    """The halo experiment's ten simulations fan out over the ambient
-    executor's pool, and the result is exactly the in-process one."""
+    """The halo experiment's simulations (up to ten: eight when every
+    rank's ``auto`` resolves to one delegate, whose runs it reuses) fan
+    out over the ambient executor's pool, and the result is exactly
+    the in-process one."""
 
     @pytest.mark.parametrize("kwargs", [
         {"quick": True},
@@ -92,6 +101,59 @@ class TestHaloFanOut:
         for exp_id in ("fig1", "eager", "model"):
             with pytest.raises(TypeError, match="topology"):
                 run_experiment(exp_id, quick=True, topology="torus2d")
+
+
+class TestHaloAutoReuse:
+    """``auto`` only prices on the host before running its delegate's
+    exchange, so when every rank on both fabrics resolves to one
+    delegate, the experiment reuses that delegate's runs instead of
+    simulating ``auto``.  Serial: the jobs run in this process."""
+
+    @pytest.fixture
+    def submitted(self, monkeypatch):
+        """The arguments of every job the experiment runs."""
+        import repro.experiments.halo as halo_mod
+
+        jobs = []
+        real = halo_mod._run_halo_job
+
+        def recording(*args):
+            jobs.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(halo_mod, "_run_halo_job", recording)
+        return jobs
+
+    @pytest.mark.parametrize("kwargs, njobs", [
+        # halo-64: every rank on both fabrics delegates to copying.
+        ({"ranks": 64}, 8),
+        # The ranking-flip configuration: on-node ranks delegate to
+        # another scheme than off-node ones, so auto is simulated.
+        ({"quick": True, "ranks": 64, "ranks_per_node": 16, "placement": "block"}, 10),
+    ], ids=["halo-64", "ranking-flip"])
+    def test_auto_row_equals_a_direct_auto_run(self, kwargs, njobs, submitted):
+        from repro.experiments.halo import _run_halo_job
+
+        result = run_halo_experiment(**kwargs)
+        assert len(submitted) == njobs
+        assert ("auto" in {spec.scheme for spec, *_ in submitted}) == (njobs == 10)
+        (spec, nranks, plat_topo, _), (_, _, plat_flat, _) = submitted[:2]
+        topo_run = _run_halo_job(spec.with_scheme("auto"), nranks, plat_topo, True)
+        flat_run = _run_halo_job(spec.with_scheme("auto"), nranks, plat_flat, False)
+        row = result.data["schemes"]["auto"]
+        assert {key: value.hex() for key, value in row.items()} == {
+            "flat": flat_run.virtual_time.hex(),
+            "topology": topo_run.virtual_time.hex(),
+            "contention": topo_run.contention.hex(),
+            "shm": topo_run.shm.hex(),
+        }
+        assert result.data["auto_choices"] == topo_run.chosen
+
+    def test_halo_64_stdout_matches_the_benchmark_pin(self, capsys):
+        pins = json.loads((REPO / "bench" / "pins.json").read_text())
+        assert main(["experiment", "halo", "--ranks", "64", "--no-cache"]) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == pins["halo-64"]
 
 
 class TestFigureExperiment:

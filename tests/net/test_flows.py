@@ -116,6 +116,98 @@ class TestMaxMinProperties:
             assert at_cap or saturated
 
 
+def _rescanning_max_min_rates(routes, demands, capacities):
+    """The progressive fill as first written: every round recounts each
+    link's unfrozen flows and rescans every unfrozen flow's route.  The
+    oracle the freeze-by-link solver must match bit for bit."""
+    eps = 1e-12
+    rates = [0.0] * len(routes)
+    headroom = list(capacities)
+    active = list(range(len(routes)))
+    while active:
+        counts: dict[int, int] = {}
+        for i in active:
+            for link in routes[i]:
+                counts[link] = counts.get(link, 0) + 1
+        inc = min(demands[i] - rates[i] for i in active)
+        for link, count in counts.items():
+            share = headroom[link] / count
+            if share < inc:
+                inc = share
+        if inc > 0:
+            for i in active:
+                rates[i] += inc
+            for link, count in counts.items():
+                headroom[link] -= inc * count
+        saturated = {link for link in counts if headroom[link] <= eps * capacities[link]}
+        still = []
+        for i in active:
+            if rates[i] >= demands[i] * (1 - eps):
+                rates[i] = demands[i]
+                continue
+            if any(link in saturated for link in routes[i]):
+                continue
+            still.append(i)
+        if len(still) == len(active):
+            break
+        active = still
+    return rates
+
+
+@st.composite
+def _halo_problems(draw):
+    """Re-solves shaped like a many-rank halo on a fat-tree: one shared
+    demand cap, 2-link (same leaf) and 4-link (via the core) routes
+    over 40 links of a few capacity classes."""
+    bandwidth = 12.5e9
+    capacities = [
+        bandwidth * factor
+        for factor in draw(
+            st.lists(st.sampled_from((1.0, 0.5, 2.0, 4.0)), min_size=40, max_size=40)
+        )
+    ]
+    demand = draw(st.sampled_from((bandwidth, 0.9 * bandwidth, 6.1e9)))
+    nflows = draw(st.integers(min_value=1, max_value=60))
+    routes = [
+        tuple(
+            draw(
+                st.lists(
+                    st.integers(min_value=0, max_value=39),
+                    min_size=hops,
+                    max_size=hops,
+                    unique=True,
+                )
+            )
+        )
+        for hops in draw(
+            st.lists(st.sampled_from((2, 4)), min_size=nflows, max_size=nflows)
+        )
+    ]
+    return routes, [demand] * nflows, capacities
+
+
+class TestMaxMinMatchesRescanningFill:
+    """Freezing by saturated link runs the same float operations as the
+    rescanning fill, so every rate is bit-identical."""
+
+    @staticmethod
+    def check(problem):
+        routes, demands, capacities = problem
+        got = max_min_rates(routes, demands, capacities)
+        want = _rescanning_max_min_rates(routes, demands, capacities)
+        assert [r.hex() for r in got] == [r.hex() for r in want]
+
+    @given(_allocation_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_random_problems(self, problem):
+        self.check(problem)
+
+    @given(_halo_problems())
+    @settings(max_examples=200, deadline=None)
+    def test_halo_shaped_problems(self, problem):
+        self.check(problem)
+
+
 # ----------------------------------------------------------------------
 # The event-driven engine
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ telemetry snapshot embedded per run."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
@@ -239,6 +240,24 @@ class TestContext:
         assert ctx.opt_int("a.none", 5) is None  # empty string -> None
         assert ctx.opt_int("a.missing", None) is None
         assert ctx.opt_str("a.s", None) == "3"
+
+    def test_reading_an_undeclared_option_fails_the_gate(self):
+        def measure(ctx):
+            return {"speed": ctx.opt_float("syn.declared", 1.0) * 3.0
+                    + ctx.opt_float("syn.undeclared", 0.0)}
+
+        spec = dataclasses.replace(
+            spec_of(measure, [check()]), options=("syn.declared",)
+        )
+        assert spec.option_keys == {"syn.repeats", "syn.min_speed", "syn.declared"}
+        result, _ = run_gate(spec)
+        assert not result.passed
+        assert result.error == (
+            "LookupError: option syn.undeclared is read but not declared by the gate"
+        )
+        ok, _ = run_gate(dataclasses.replace(spec, measure=lambda ctx: {
+            "speed": ctx.opt_float("syn.declared", 1.0)}), {"syn.declared": "4"})
+        assert ok.passed and ok.metrics["speed"] == 4.0
 
     def test_repo_discovery(self):
         ctx = GateContext()
