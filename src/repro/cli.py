@@ -124,10 +124,10 @@ def _progress(scheme: str, size: int, time: float) -> None:
 
 
 def _sweep_config(args: argparse.Namespace) -> SweepConfig:
-    if args.quick:
-        return SweepConfig.quick()
-    sizes = default_message_sizes(args.min_bytes, args.max_bytes, args.per_decade)
     schemes = tuple(args.schemes) if args.schemes else PAPER_ORDER
+    if args.quick:
+        return SweepConfig.quick(schemes=schemes)
+    sizes = default_message_sizes(args.min_bytes, args.max_bytes, args.per_decade)
     return SweepConfig(
         sizes=tuple(sizes),
         schemes=schemes,
@@ -325,7 +325,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
 def cmd_advise(args: argparse.Namespace) -> int:
     from .core.layout import IrregularLayout, strided_for_bytes
-    from .mpi.datatypes.ir import advise_datatype
+    from .core.advise import advise_datatype
 
     base = strided_for_bytes(args.bytes, blocklen=args.blocklen, stride=args.stride)
     if args.datatype == "indexed":
@@ -826,6 +826,12 @@ def _check_usage(args: argparse.Namespace) -> None:
     if args.command == "advise" and args.stride is not None and args.stride < args.blocklen:
         args.usage_error(f"argument --stride: must be at least --blocklen "
                          f"({args.blocklen}), got {args.stride}")
+    # A figure is always a slowdown table; a sweep's is by default.
+    if (args.command in ("sweep", "figure") and args.schemes
+            and "reference" not in args.schemes
+            and getattr(args, "table", "slowdown") == "slowdown"):
+        args.usage_error("argument --schemes: the slowdown table is relative to "
+                         "'reference', which must be one of the schemes")
     if args.command == "experiment" and args.experiment != "halo":
         for flag, dest in _FABRIC_FLAGS:
             if getattr(args, dest) is not None:
@@ -847,9 +853,19 @@ def main(argv: list[str] | None = None) -> int:
         host_mod.enable()
     try:
         if executor is None:
-            return args.fn(args)
-        with using_executor(executor):
-            return args.fn(args)
+            code = args.fn(args)
+        else:
+            with using_executor(executor):
+                code = args.fn(args)
+        # Flush here, so a reader that closed the pipe is caught below
+        # rather than in the interpreter's exit flush.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (``repro schemes | head -1``).  Point
+        # stdout at devnull so the exit flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except KeyboardInterrupt:
         # Completed cells are already durable in the result store; a
         # re-run of the same command fast-forwards through them.

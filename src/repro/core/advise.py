@@ -1,21 +1,16 @@
-"""Cost-driven scheme selection over the canonical IR.
+"""Cost-driven scheme selection over a datatype's access pattern.
 
-``advise_datatype`` lowers a derived datatype, canonicalizes it through
-the (cost-guarded) pass pipeline, summarizes the result as an
-:class:`~repro.machine.access.AccessPattern`, and prices every
-candidate send scheme through :class:`~repro.machine.pricing.
-SchemePricer` — the same closed forms the analytic model uses for the
-paper's layout, generalized to any pattern.  The cheapest candidate is
-the advice; the ``auto`` scheme (``repro.core.schemes.auto``) and the
-``repro advise`` CLI are thin wrappers over it.
+``advise_datatype`` prices ``dtype.access_pattern(count)`` — the
+pattern a :class:`~repro.mpi.datatypes.plan.TransferPlan` carries and
+the simulator charges — for every candidate send scheme through
+:class:`~repro.machine.pricing.SchemePricer`.  The cheapest candidate
+is the advice; the ``auto`` scheme (:mod:`repro.core.schemes.auto`),
+the halo experiment and the ``repro advise`` CLI are thin wrappers
+over it.
 
 ``reference`` is priced for the slowdown column but never a candidate:
 it sends an already-contiguous buffer and cannot deliver a
 non-contiguous layout.
-
-Scheme keys are duplicated from ``repro.core.schemes`` deliberately —
-the MPI layer must not import the core layer; a test pins the lists
-against each other.
 """
 
 from __future__ import annotations
@@ -23,17 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from ....machine.access import AccessPattern
-from ....machine.platform import Platform
-from ....machine.pricing import SchemePricer
-from ....machine.registry import get_platform
-from .lower import lower
-from .ops import Program
-from .passes import run_pipeline
+from ..machine.access import AccessPattern
+from ..machine.platform import Platform
+from ..machine.pricing import SchemePricer
+from ..machine.registry import get_platform
+from .schemes import PAPER_ORDER
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, no runtime import
-    from ....net.transport import Transport
-    from ..datatype import Datatype
+    from ..mpi.datatypes import Datatype
+    from ..net.transport import Transport
 
 __all__ = [
     "AUTO_CANDIDATES",
@@ -47,23 +40,7 @@ __all__ = [
 #: Schemes ``auto`` chooses among: every paper scheme that actually
 #: delivers a non-contiguous layout (all but ``reference``), in the
 #: paper's figure order (the deterministic tie-break).
-AUTO_CANDIDATES: tuple[str, ...] = (
-    "copying",
-    "buffered",
-    "vector",
-    "subarray",
-    "onesided",
-    "packing-element",
-    "packing-vector",
-)
-
-_PAPER_RANK = {
-    key: rank
-    for rank, key in enumerate(
-        ("reference", "copying", "buffered", "vector", "subarray",
-         "onesided", "packing-element", "packing-vector")
-    )
-}
+AUTO_CANDIDATES: tuple[str, ...] = tuple(k for k in PAPER_ORDER if k != "reference")
 
 
 @dataclass(frozen=True)
@@ -78,15 +55,12 @@ class CandidatePrice:
 
 @dataclass(frozen=True)
 class Advice:
-    """The full output of one selection: canonical IR + priced table."""
+    """The full output of one selection: the priced pattern and table."""
 
     platform: str
     source: str
     count: int
     nbytes: int
-    naive_ops: int
-    canonical_ops: int
-    trail: tuple[str, ...]
     pattern: AccessPattern
     reference_time: float
     #: Sorted cheapest-first; ties broken by paper figure order.
@@ -106,8 +80,6 @@ class Advice:
             f"payload {self.nbytes} B in {self.pattern.nblocks} blocks, "
             f"span {self.pattern.span_bytes} B, "
             f"regularity {self.pattern.regularity:.2f}",
-            f"canonical IR: {self.canonical_ops} op(s) from {self.naive_ops} "
-            f"(passes: {', '.join(self.trail) if self.trail else 'none'})",
             "",
             f"  {'scheme':<18} {'modeled time':>14} {'vs reference':>13}",
         ]
@@ -122,12 +94,6 @@ class Advice:
         return "\n".join(lines)
 
 
-def _resolve_platform(platform: str | Platform) -> Platform:
-    if isinstance(platform, Platform):
-        return platform
-    return get_platform(platform)
-
-
 def advise_datatype(
     dtype: "Datatype",
     *,
@@ -136,20 +102,17 @@ def advise_datatype(
     candidates: Iterable[str] = AUTO_CANDIDATES,
     transport: "Transport | None" = None,
 ) -> Advice:
-    """Canonicalize ``count`` elements of ``dtype`` and price every
-    candidate scheme on ``platform``.
+    """Price every candidate scheme for ``count`` elements of ``dtype``
+    on ``platform``.
 
     ``transport`` reprices the in-flight legs on a non-network fabric
     (e.g. an intra-node shm transport for a co-located peer); ``None``
     keeps the historical network pricing."""
-    plat = _resolve_platform(platform)
+    plat = platform if isinstance(platform, Platform) else get_platform(platform)
     keys = tuple(candidates)
     if not keys:
         raise ValueError("candidates must not be empty")
-    naive = lower(dtype, count)
-    result = run_pipeline(naive, platform=plat)
-    canonical: Program = result.program
-    pattern = canonical.pattern()
+    pattern = dtype.access_pattern(count)
     pricer = SchemePricer(plat, transport=transport)
     reference_time = pricer.reference(pattern)
     prices = tuple(
@@ -162,17 +125,14 @@ def advise_datatype(
                 )
                 for key in keys
             ),
-            key=lambda p: (p.modeled_time, _PAPER_RANK.get(p.key, len(_PAPER_RANK))),
+            key=lambda p: (p.modeled_time, PAPER_ORDER.index(p.key)),
         )
     )
     return Advice(
         platform=plat.name,
         source=dtype.name,
         count=count,
-        nbytes=canonical.nbytes,
-        naive_ops=naive.nops,
-        canonical_ops=canonical.nops,
-        trail=result.trail,
+        nbytes=pattern.total_bytes,
         pattern=pattern,
         reference_time=reference_time,
         prices=prices,

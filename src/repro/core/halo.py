@@ -31,7 +31,7 @@ Schemes (``HALO_SCHEMES``) map to the paper's families:
     contiguous send, and ``MPI_Unpack`` on the receiving side
     (section 2.6).
 ``auto``
-    Cost-driven: the IR selector prices the face datatype on the
+    Cost-driven: the selector prices the face datatype on the
     platform and delegates to the cheapest *delivering* scheme above
     (``reference`` is geometry-blind and never a candidate).
 """
@@ -47,6 +47,7 @@ from ..mpi.buffers import SimBuffer
 from ..mpi.comm import Comm
 from ..mpi.datatypes import DOUBLE, Datatype, make_subarray
 from ..net.transport import ShmTransport
+from .advise import advise_datatype
 
 __all__ = [
     "HALO_SCHEMES",
@@ -270,8 +271,6 @@ def advise_face(spec: HaloSpec, platform, transport=None):
     transport (``None`` = network) among the delivering halo schemes.
     Pure host-side arithmetic — shared by ``auto`` resolution and the
     halo experiment's per-regime tables."""
-    from ..mpi.datatypes.ir import advise_datatype
-
     face = make_subarray(
         [spec.nx, spec.row_doubles], [spec.nx, spec.ghost], [0, spec.ghost], DOUBLE
     )

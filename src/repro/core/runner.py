@@ -14,6 +14,7 @@ from typing import TYPE_CHECKING, Callable
 
 from ..machine.platform import Platform
 from ..machine.registry import get_platform
+from .advise import select_scheme
 from .results import Measurement, SweepResult
 from .sweep import SweepConfig
 
@@ -47,8 +48,6 @@ def sweep_metadata(platform: Platform, config: SweepConfig) -> dict:
         # Record what auto resolves to at every size — the choice is
         # deterministic host-side arithmetic, so this is provenance, not
         # a measurement.
-        from ..mpi.datatypes.ir import select_scheme
-
         metadata["auto_choices"] = {
             str(size): select_scheme(config.layout_for(size), platform)
             for size in config.sizes

@@ -2,8 +2,8 @@
 scheme for the current layout and platform.
 
 ``auto`` is not a ninth transfer mechanism — it resolves, at setup
-time, to whichever paper scheme the IR selector
-(:func:`repro.mpi.datatypes.ir.select_scheme`) prices cheapest for
+time, to whichever paper scheme the selector
+(:func:`repro.core.advise.select_scheme`) prices cheapest for
 ``(layout, platform)``, then delegates every hook to that scheme.
 Resolution is pure host-side arithmetic over the machine model: it
 spends no virtual time, so an ``auto`` cell's virtual timeline is
@@ -17,7 +17,6 @@ the wire protocol.
 from __future__ import annotations
 
 from ...mpi.comm import Comm
-from ...mpi.datatypes.ir import select_scheme
 from .base import SchemeContext, SendScheme
 
 __all__ = ["AutoScheme"]
@@ -36,7 +35,10 @@ class AutoScheme(SendScheme):
 
     def _resolve(self, comm: Comm, ctx: SchemeContext) -> SendScheme:
         if self._inner is None:
-            from . import make_scheme  # local: the registry imports us
+            # Local: the registry imports us, and the selector imports
+            # the registry.
+            from ..advise import select_scheme
+            from . import make_scheme
 
             self.chosen = select_scheme(ctx.layout, comm.world.platform)
             self._inner = make_scheme(self.chosen)
@@ -46,6 +48,7 @@ class AutoScheme(SendScheme):
     @staticmethod
     def resolve_label(layout, platform) -> str:
         """The label an ``auto`` cell reports, without running it."""
+        from ..advise import select_scheme
         from . import make_scheme
 
         return f"auto({make_scheme(select_scheme(layout, platform)).label})"

@@ -5,8 +5,8 @@ simulation: the simulator composes the same costs event by event, so
 for simple scenarios the two must agree.  Tests cross-check them, and
 the ``model`` experiment reports them next to the measured values.
 
-Every formula takes an :class:`AccessPattern`, so any derived datatype
-the IR can canonicalize is priced through the same machine model;
+Every formula takes an :class:`AccessPattern`, so any derived
+datatype's access pattern is priced through the same machine model;
 ``stride2_pattern(nbytes)`` is the paper's own layout (every other
 double).  Predictions are for one ping-pong in the paper's harness
 (zero-byte pong, cold caches).

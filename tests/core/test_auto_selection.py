@@ -15,14 +15,12 @@ from pathlib import Path
 import pytest
 
 from repro.core import StridedLayout, TimingPolicy, run_pingpong
+from repro.core.advise import AUTO_CANDIDATES, advise_layout, select_scheme
 from repro.core.schemes import ALL_SCHEME_KEYS, PAPER_ORDER, make_scheme
 from repro.machine.pricing import PRICED_SCHEMES
 from repro.machine.registry import get_platform
-from repro.mpi.datatypes.ir import AUTO_CANDIDATES, advise_layout, select_scheme
 
-GOLDEN = json.loads(
-    (Path(__file__).parent.parent.parent / "core" / "golden_scheme_times.json").read_text()
-)
+GOLDEN = json.loads((Path(__file__).parent / "golden_scheme_times.json").read_text())
 PLATFORMS = ("skx-impi", "skx-mvapich2", "ls5-cray", "knl-impi")
 LAYOUTS = {
     "small-2KB": StridedLayout(nblocks=256, blocklen=1, stride=2),
@@ -127,8 +125,8 @@ def test_sweep_metadata_records_auto_choices():
 
 
 class TestSchemeKeyConsistency:
-    """The MPI and machine layers keep their own literal copies of the
-    scheme keys (they must not import core); pin them to each other."""
+    """The machine layer keeps its own literal copy of the scheme keys
+    (it must not import core); pin every key list to ``PAPER_ORDER``."""
 
     def test_priced_schemes_match_paper_order(self):
         assert PRICED_SCHEMES == PAPER_ORDER

@@ -2,9 +2,16 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def test_platforms_command(capsys):
@@ -190,6 +197,11 @@ def test_jobs_defaults_to_one_worker_per_cpu():
     ["advise", "--count", "-1"],
     ["advise", "--ranks-per-node", "0"],
     ["advise", "--ranks-per-node", "-3"],
+    # A slowdown table (a sweep's default, a figure's only) needs reference.
+    ["sweep", "--platform", "ideal", "--min-bytes", "1000", "--max-bytes", "10000",
+     "--per-decade", "1", "--iterations", "2", "--schemes", "vector"],
+    ["sweep", "--quick", "--table", "slowdown", "--schemes", "vector"],
+    ["figure", "fig3", "--quick", "--schemes", "vector", "copying"],
 ])
 def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeypatch):
     """Exit 2 with one argparse error line naming the flag, before
@@ -212,6 +224,38 @@ def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeyp
     assert "error: argument" in last
     flag = next(arg for arg in reversed(argv) if arg.startswith("--"))
     assert flag in last
+
+
+def test_sweep_time_table_needs_no_reference(capsys):
+    assert main(["sweep", "--platform", "ideal", "--min-bytes", "1000",
+                 "--max-bytes", "10000", "--per-decade", "1", "--iterations", "2",
+                 "--no-cache", "--schemes", "vector", "--table", "time"]) == 0
+    out = capsys.readouterr().out
+    assert "vector type" in out and "(seconds;" in out
+
+
+def test_quick_sweep_honours_schemes(capsys):
+    assert main(["sweep", "--quick", "--platform", "ideal", "--no-cache",
+                 "--schemes", "reference", "vector"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:-1]
+    assert [row.split()[0] for row in rows] == ["reference", "vector"]
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
+    """Buffered stdout fails at main's flush, unbuffered at the first
+    print; both end quietly."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "repro", "schemes"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_halo_with_jobs_matches_serial(capsys):

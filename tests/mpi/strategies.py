@@ -1,9 +1,8 @@
-"""Shared hypothesis strategies for the transfer-IR test suite.
+"""Shared hypothesis strategies over every derived-datatype constructor.
 
 Every strategy yields an *uncommitted* derived datatype; tests commit
-and free as needed.  The generated types are deliberately small — the
-IR invariants are structural, and hypothesis explores structure, not
-scale (the fuzz tool covers scale).
+and free as needed.  The generated types are deliberately small:
+hypothesis explores structure, not scale.
 """
 
 from __future__ import annotations
@@ -138,14 +137,3 @@ DERIVED = st.one_of(
 
 COUNTS = st.integers(0, 4)
 
-
-def merged_segments(segs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """In-order adjacency merge — the oracle-side counterpart of
-    ``Program.normalized_segments`` for raw ``segments_of`` output."""
-    out: list[list[int]] = []
-    for off, length in segs:
-        if out and out[-1][0] + out[-1][1] == off:
-            out[-1][1] += length
-        else:
-            out.append([off, length])
-    return [(o, n) for o, n in out]

@@ -12,10 +12,19 @@ unpacked buffer, same return values, at every destination offset.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.datatypes import Datatype, compile_plan
+from repro.mpi.datatypes import (
+    DOUBLE,
+    INT,
+    Datatype,
+    compile_plan,
+    make_resized,
+    make_struct,
+    make_subarray,
+    make_vector,
+)
 from repro.mpi.datatypes.plan import BATCH_RUN_CUTOFF, TransferPlan
 from repro.mpi.datatypes.runs import (
     ContigRun,
@@ -26,7 +35,7 @@ from repro.mpi.datatypes.runs import (
 )
 from repro.obs import host as host_mod
 
-from .ir.strategies import COUNTS, DERIVED
+from .strategies import COUNTS, DERIVED
 
 
 def _filled(nbytes: int) -> np.ndarray:
@@ -80,8 +89,24 @@ def _assert_all_paths_agree(plan: TransferPlan, dst_offset: int = 0) -> None:
         assert np.array_equal(back, ref_back), name
 
 
+def _resized_of_struct() -> Datatype:
+    """A heterogeneous struct padded by 16 bytes of extent."""
+    inner = make_struct([2, 1, 3], [0, 24, 40], [DOUBLE, INT, DOUBLE])
+    return make_resized(inner, 0, inner.extent + 16)
+
+
+def _subarray_of_vector() -> Datatype:
+    """A subarray whose element is itself a strided vector: two stride
+    patterns compose with non-uniform gaps."""
+    return make_subarray([4, 6], [2, 3], [1, 2], make_vector(2, 1, 3, DOUBLE))
+
+
 @settings(max_examples=120, deadline=None)
 @given(dtype=DERIVED, count=COUNTS, dst_offset=st.integers(0, 17))
+@example(dtype=_resized_of_struct(), count=1, dst_offset=0)
+@example(dtype=_resized_of_struct(), count=3, dst_offset=5)
+@example(dtype=_subarray_of_vector(), count=1, dst_offset=0)
+@example(dtype=_subarray_of_vector(), count=3, dst_offset=5)
 def test_gather_scatter_bit_identical_across_tiers(
     dtype: Datatype, count: int, dst_offset: int
 ):
