@@ -471,35 +471,8 @@ def _parse_options(pairs: list[str] | None) -> dict[str, str]:
 def cmd_perf(args: argparse.Namespace) -> int:
     import json
 
-    from .perf import (
-        Ledger,
-        LedgerEntry,
-        all_gates,
-        diff_entries,
-        get_gate,
-        render_diff,
-        render_report,
-        resolve_settings,
-        run_gate,
-    )
+    from .perf import all_gates, get_gate, resolve_settings, run_gate
 
-    ledger = Ledger(args.ledger_dir)
-
-    if args.perf_command == "report":
-        print(render_report(ledger.entries(), limit=args.limit))
-        return 0
-
-    if args.perf_command == "diff":
-        try:
-            a = ledger.resolve(args.ref_a)
-            b = ledger.resolve(args.ref_b)
-        except LookupError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(render_diff(a, b, diff_entries(a, b)))
-        return 0
-
-    # record / gate: run the selected specs.
     if args.all or not args.gates:
         specs = all_gates()
     else:
@@ -543,13 +516,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
         trace_path.write_text(json.dumps(host_chrome_trace(sections), indent=1))
         print(f"wrote host Chrome trace to {trace_path}")
 
-    if args.perf_command == "record" or args.record:
-        entry = LedgerEntry.record(
-            [r.to_json() for r in results], options=options
-        )
-        path = ledger.append(entry)
-        print(f"recorded {entry.sha[:12]} -> {path}")
-
     failures = [f for r in results for f in r.failures()]
     for failure in failures:
         print(f"FAIL: {failure}")
@@ -557,9 +523,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
         skipped = sum(1 for r in results if r.skipped)
         note = f" ({skipped} gate(s) fully skipped)" if skipped else ""
         print(f"OK: {len(results)} gate(s){note}")
-    if args.perf_command == "gate":
-        return 1 if failures else 0
-    return 0
+    return 1 if failures else 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -748,7 +712,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dir", default=None,
                    help="result-store root (default: $REPRO_CACHE_DIR or "
                         "~/.cache/repro-mpi)")
-    p.add_argument("--max-store-bytes", type=int, default=None, metavar="BYTES",
+    p.add_argument("--max-store-bytes", type=_non_negative_int, default=None,
+                   metavar="BYTES",
                    help="bound the store size; least-recently-used cells are "
                         "evicted past it (in-flight digests are never evicted)")
     p.add_argument("--max-jobs", type=_positive_int, default=4, metavar="N",
@@ -757,47 +722,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="run regression gates, record/inspect the perf ledger",
+        help="run regression gates over this source tree",
     )
     perf_sub = p.add_subparsers(dest="perf_command", required=True)
-
-    def add_perf_run_options(pp: argparse.ArgumentParser) -> None:
-        pp.add_argument("--gate", dest="gates", action="append", metavar="NAME",
-                        help="gate to run (repeatable; default: all)")
-        pp.add_argument("--all", action="store_true",
-                        help="run every registered gate")
-        pp.add_argument("--option", action="append", metavar="KEY=VALUE",
-                        help="override a gate option, e.g. "
-                             "exec.min_cache_speedup=5 or kernels.repeats=3")
-        pp.add_argument("--ledger-dir", default=None,
-                        help="ledger root (default: <cache dir>/perf-ledger)")
-        pp.add_argument("--host-trace", metavar="PATH", type=_output_path, default=None,
-                        help="write the per-gate host telemetry as one "
-                             "Chrome trace to PATH")
-
-    pp = perf_sub.add_parser("record",
-                             help="run gates and append a ledger entry")
-    add_perf_run_options(pp)
-    pp.set_defaults(fn=cmd_perf, record=True)
-
     pp = perf_sub.add_parser("gate",
                              help="run gates and fail on any regression")
-    add_perf_run_options(pp)
-    pp.add_argument("--record", action="store_true",
-                    help="also append a ledger entry")
-    pp.set_defaults(fn=cmd_perf)
-
-    pp = perf_sub.add_parser("diff",
-                             help="per-metric deltas between two ledger entries")
-    pp.add_argument("ref_a", help="'latest', '@N', or a git-sha prefix")
-    pp.add_argument("ref_b", help="'latest', '@N', or a git-sha prefix")
-    pp.add_argument("--ledger-dir", default=None)
-    pp.set_defaults(fn=cmd_perf)
-
-    pp = perf_sub.add_parser("report", help="summarize the recorded runs")
-    pp.add_argument("-n", "--limit", type=int, default=10,
-                    help="entries to show, newest first (default 10)")
-    pp.add_argument("--ledger-dir", default=None)
+    pp.add_argument("--gate", dest="gates", action="append", metavar="NAME",
+                    help="gate to run (repeatable; default: all)")
+    pp.add_argument("--all", action="store_true",
+                    help="run every registered gate")
+    pp.add_argument("--option", action="append", metavar="KEY=VALUE",
+                    help="override a gate option, e.g. "
+                         "exec.min_cache_speedup=5 or kernels.repeats=3")
+    pp.add_argument("--host-trace", metavar="PATH", type=_output_path, default=None,
+                    help="write the per-gate host telemetry as one "
+                         "Chrome trace to PATH")
     pp.set_defaults(fn=cmd_perf)
 
     return parser

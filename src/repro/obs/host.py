@@ -193,8 +193,8 @@ class HostTelemetry:
 
     def snapshot(self) -> dict[str, Any]:
         """A machine-readable summary: per-lane span/busy accounting
-        plus the full metrics dump.  This is what ledger entries embed
-        — compact, not the raw event stream."""
+        plus the full metrics dump — plain JSON-serializable data,
+        compact, not the raw event stream."""
         busy = self.busy_seconds()
         span_counts: dict[str, int] = {}
         for span in self.spans:

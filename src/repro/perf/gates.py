@@ -6,15 +6,14 @@ to its metrics; :func:`run_gate` turns one spec into a
 
 * **noise handling** — the workload's ``measure`` callable produces one
   *sample* (a metrics dict) per call; the engine calls it
-  ``<ns>.repeats`` times and gates on the **median** of each metric,
-  keeping the raw samples so diffs can derive noise bands;
+  ``<ns>.repeats`` times and gates on the **median** of each metric;
 * **skip semantics** — a check whose ``skip`` predicate fires (e.g. the
-  parallel-speedup check on a single-CPU host) is recorded as
+  parallel-speedup check on a single-CPU host) is reported as
   ``skipped`` with the reason, never silently green, and the metrics it
   would have asserted are marked *informational* in the result;
 * **host telemetry** — each gate run happens inside its own
-  :func:`repro.obs.host.capturing` block; the snapshot lands in the
-  result (and the full capture is returned for Chrome-trace export).
+  :func:`repro.obs.host.capturing` block, returned beside the result
+  for Chrome-trace export.
 
 Options are resolved up front: :func:`resolve_settings` parses a gate's
 repeat count and every overridable threshold, so a malformed value
@@ -30,6 +29,7 @@ Gates self-register into a process-wide registry
 
 from __future__ import annotations
 
+import os
 import statistics
 import time as _time
 from dataclasses import dataclass, field
@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..obs import host as _host
-from .ledger import usable_cpus
 
 __all__ = [
     "CheckResult",
@@ -51,6 +50,7 @@ __all__ = [
     "register",
     "resolve_settings",
     "run_gate",
+    "usable_cpus",
 ]
 
 #: Comparison operators a check may gate with.
@@ -60,11 +60,19 @@ _OPS: dict[str, Callable[[float, float], bool]] = {
 }
 
 
+def usable_cpus() -> int:
+    """CPUs this process may actually run on (affinity-aware)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 class GateContext:
     """What a workload's callables receive: resolved options, host
     facts, and a scratch dict that survives from ``setup`` through
-    every ``measure`` call to ``teardown`` (worktree paths, one-time
-    golden results, ...)."""
+    every ``measure`` call to ``teardown`` (the tracing gate's worktree,
+    one-time golden results, ...)."""
 
     def __init__(
         self,
@@ -110,8 +118,8 @@ def _option(options: dict[str, Any], key: str, default: Any, kind: type) -> Any:
 
 
 def _find_repo() -> Path:
-    """The repo root (directory holding ``src/repro``), for workloads
-    that compare against a base revision via ``git worktree``."""
+    """The repo root (directory holding ``src/repro``): the golden
+    files, and the tracing gate's ``git worktree`` of a base revision."""
     here = Path(__file__).resolve()
     for parent in here.parents:
         if (parent / ".git").exists() and (parent / "src" / "repro").is_dir():
@@ -163,18 +171,6 @@ class CheckResult:
             f"required {self.op} {self.threshold:.4g})"
         )
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "skipped": self.skipped,
-            "passed": self.passed,
-            "metric": self.metric,
-            "value": self.value,
-            "op": self.op,
-            "threshold": self.threshold,
-            "reason": self.reason,
-        }
-
 
 @dataclass(frozen=True)
 class GateSpec:
@@ -189,11 +185,12 @@ class GateSpec:
     #: Workload option keys the gate reads, beyond ``<ns>.repeats`` and
     #: the checks' threshold options (see :attr:`option_keys`).
     options: tuple[str, ...] = ()
-    #: One-time expensive work (git worktrees, golden passes); stash
-    #: results in ``ctx.scratch``.
+    #: One-time expensive work (a git worktree, a structural check);
+    #: stash results in ``ctx.scratch``.
     setup: Callable[[GateContext], None] | None = None
     teardown: Callable[[GateContext], None] | None = None
-    #: Static facts for the record (workload description, ...).
+    #: Static facts about the run, kept in :attr:`GateResult.extra`
+    #: (workload description, ...).
     describe: Callable[[GateContext], dict[str, Any]] | None = None
 
     @property
@@ -211,12 +208,10 @@ class GateResult:
     gate: str
     title: str
     metrics: dict[str, float]  #: Median over samples.
-    samples: dict[str, list[float]]  #: Raw per-repeat values.
     checks: list[CheckResult]
     informational: tuple[str, ...]  #: Metrics no check asserted.
     seconds: float  #: Wall time of the whole gate run.
     extra: dict[str, Any] = field(default_factory=dict)
-    telemetry: dict[str, Any] | None = None
     error: str | None = None  #: Set when the workload itself blew up.
 
     @property
@@ -235,21 +230,6 @@ class GateResult:
         if self.error is not None:
             out.append(f"{self.gate}: workload error: {self.error}")
         return out
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "gate": self.gate,
-            "title": self.title,
-            "passed": self.passed,
-            "metrics": self.metrics,
-            "samples": self.samples,
-            "informational": list(self.informational),
-            "checks": [c.to_json() for c in self.checks],
-            "seconds": self.seconds,
-            "extra": self.extra,
-            "telemetry": self.telemetry,
-            "error": self.error,
-        }
 
     def render(self) -> str:
         lines = [f"gate {self.gate}: {self.title}"]
@@ -323,9 +303,9 @@ def run_gate(
     """Run one gate: setup, repeat-and-take-median measurement, checks.
 
     Returns the result plus the gate's host-telemetry capture (for
-    Chrome-trace export; its snapshot is already embedded in the
-    result).  Workload exceptions are converted into a failing result
-    with ``error`` set — one broken gate must not mask the others in a
+    Chrome-trace export; ``None`` when ``capture_host`` is off).
+    Workload exceptions are converted into a failing result with
+    ``error`` set — one broken gate must not mask the others in a
     ``--all`` run.  A malformed option raises ``ValueError`` (see
     :func:`resolve_settings`) before the workload starts.
     """
@@ -408,12 +388,10 @@ def run_gate(
             gate=spec.name,
             title=spec.title,
             metrics=medians,
-            samples=raw,
             checks=checks,
             informational=tuple(sorted(informational)),
             seconds=seconds,
             extra=extra,
-            telemetry=telemetry.snapshot() if telemetry is not None else None,
             error=error,
         ),
         telemetry,

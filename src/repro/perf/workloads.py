@@ -1,5 +1,5 @@
 """The built-in regression gates, one :class:`~.gates.GateSpec` each,
-run by ``repro perf gate|record``.  Registered gates:
+run by ``repro perf gate``.  Registered gates:
 
 ``tracing-overhead``
     Zero-cost-when-off contract of the flight recorder *and* host
@@ -7,8 +7,8 @@ run by ``repro perf gate|record``.  Registered gates:
     host-clock reads while disabled) plus a timed comparison against a
     base revision in a git worktree.
 ``plan-speedup``
-    The TransferPlan cache must keep beating the base revision on a
-    repeated pack/send workload.
+    The shared TransferPlan cache must keep beating a plan compiled on
+    every call, on a repeated pack/send workload in this process.
 ``exec-speedup``
     The exec layer's two wall-clock wins (``--jobs`` parallelism, warm
     result cache) plus byte-identity across all four run modes.  The
@@ -31,11 +31,13 @@ run by ``repro perf gate|record``.  Registered gates:
     (hit-rate floor), keep p99 request latency bounded, finish every
     request, and leave the daemon healthy.
 
-Option keys are namespaced by gate (``exec.min_cache_speedup``,
-``tracing.threshold``, ...); every gate honours ``<ns>.repeats`` and
-declares the workload keys it reads in ``GateSpec.options``.  Only
-speed and latency floors take an option: correctness checks (identity,
-goldens, store hits, server health) have fixed thresholds.
+Every gate measures this source tree; only ``tracing-overhead`` also
+times a base revision (``tracing.base``, in a git worktree).  Option
+keys are namespaced by gate (``exec.min_cache_speedup``,
+``tracing.threshold``, ...): every gate honours ``<ns>.repeats``, and
+only speed and latency floors take an option.  Correctness checks
+(identity, goldens, store hits, server health) have fixed thresholds,
+and workload sizes are module constants.
 """
 
 from __future__ import annotations
@@ -54,12 +56,11 @@ from .gates import GateCheck, GateContext, GateSpec, register
 __all__ = [
     "STRUCTURAL_CHECK",
     "TIMING_WORKLOAD_TRACING",
-    "TIMING_WORKLOAD_PLAN",
 ]
 
 
 # ======================================================================
-# Shared subprocess / worktree helpers (the two base-revision gates).
+# Subprocess / worktree helpers (the tracing gate's base revision).
 # ======================================================================
 def _run(cmd: list[str], **kwargs: Any) -> str:
     return subprocess.run(
@@ -89,16 +90,16 @@ def _default_base(repo: Path) -> str:
     return "HEAD~1"
 
 
-def _setup_worktree(ctx: GateContext, ns: str) -> None:
+def _setup_worktree(ctx: GateContext) -> None:
     """Check the base revision out into a temp worktree (one-time)."""
-    base = ctx.opt_str(f"{ns}.base", None) or _default_base(ctx.repo)
-    worktree = Path(tempfile.mkdtemp(prefix=f"{ns}-base-"))
+    base = ctx.opt_str("tracing.base", None) or _default_base(ctx.repo)
+    worktree = Path(tempfile.mkdtemp(prefix="tracing-base-"))
     _run(["git", "worktree", "add", "--detach", str(worktree), base], cwd=ctx.repo)
     ctx.scratch["worktree"] = worktree
     ctx.scratch["base_rev"] = _run(["git", "rev-parse", "HEAD"], cwd=worktree)
 
 
-def _teardown_worktree(ctx: GateContext, ns: str) -> None:
+def _teardown_worktree(ctx: GateContext) -> None:
     worktree = ctx.scratch.pop("worktree", None)
     if worktree is None:
         return
@@ -193,7 +194,7 @@ def _tracing_setup(ctx: GateContext) -> None:
         },
     )
     ctx.scratch["structural_ok"] = 1.0 if out.splitlines()[-1] == "structural OK" else 0.0
-    _setup_worktree(ctx, "tracing")
+    _setup_worktree(ctx)
 
 
 def _tracing_measure(ctx: GateContext) -> dict[str, float]:
@@ -217,7 +218,7 @@ register(
         ns="tracing",
         measure=_tracing_measure,
         setup=_tracing_setup,
-        teardown=lambda ctx: _teardown_worktree(ctx, "tracing"),
+        teardown=_teardown_worktree,
         default_repeats=5,
         options=("tracing.base",),
         describe=lambda ctx: {
@@ -247,54 +248,62 @@ register(
 # plan-speedup
 # ======================================================================
 #: The hot loop the plan cache exists for: many calls over one
-#: (datatype, count) pair, where the pre-plan tree re-flattens and
-#: re-summarizes the layout on every call.
-TIMING_WORKLOAD_PLAN = """
-import time
-import numpy as np
-from repro.mpi import DOUBLE, make_vector, run_mpi
-from repro.mpi.datatypes import pack_bytes
-
-NBLOCKS, COUNT, PACK_CALLS, SENDS = 512, 4, 400, 200
-vec = make_vector(NBLOCKS, 1, 2, DOUBLE).commit()
-src = np.arange(2 * NBLOCKS * COUNT, dtype=np.float64)
-dst = np.zeros(NBLOCKS * COUNT, dtype=np.float64)
+#: (datatype, count) pair.  Without the cache every call re-flattens
+#: and re-summarizes the layout.
+PLAN_NBLOCKS, PLAN_COUNT, PLAN_PACK_CALLS, PLAN_SENDS = 512, 4, 400, 200
+#: Timed passes per half, after one warm-up pass; the best one counts.
+PLAN_PASSES = 5
 
 
-def once():
-    for _ in range(PACK_CALLS):
-        pack_bytes(src, vec, COUNT, dst)
+def _plan_best_seconds(vec, src, dst) -> float:
+    """Best-of-:data:`PLAN_PASSES` wall seconds of one pass: the pack
+    calls, then a two-rank job of derived-type sends."""
+    import numpy as np
+
+    from ..mpi import run_mpi
+    from ..mpi.datatypes import pack_bytes
 
     def main(comm):
         if comm.rank == 0:
-            for tag in range(SENDS):
-                comm.Send(src, dest=1, tag=tag, count=COUNT, datatype=vec)
+            for tag in range(PLAN_SENDS):
+                comm.Send(src, dest=1, tag=tag, count=PLAN_COUNT, datatype=vec)
         else:
-            buf = np.empty(NBLOCKS * COUNT, dtype=np.float64)
-            for tag in range(SENDS):
+            buf = np.empty(PLAN_NBLOCKS * PLAN_COUNT, dtype=np.float64)
+            for tag in range(PLAN_SENDS):
                 comm.Recv(buf, source=0, tag=tag)
 
-    run_mpi(main, 2, "skx-impi")
+    def once() -> None:
+        for _ in range(PLAN_PACK_CALLS):
+            pack_bytes(src, vec, PLAN_COUNT, dst)
+        run_mpi(main, 2, "skx-impi")
 
-
-once()  # warm-up (imports, platform registry, caches)
-times = []
-for _ in range(5):
-    t0 = time.perf_counter()
-    once()
-    times.append(time.perf_counter() - t0)
-print(min(times))
-"""
+    once()  # warm-up (imports, platform registry, the cache)
+    best = float("inf")
+    for _ in range(PLAN_PASSES):
+        t0 = time.perf_counter()
+        once()
+        best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def _plan_measure(ctx: GateContext) -> dict[str, float]:
-    worktree: Path = ctx.scratch["worktree"]
-    t_base = _time_snippet(worktree, TIMING_WORKLOAD_PLAN)
-    t_head = _time_snippet(ctx.repo, TIMING_WORKLOAD_PLAN)
+    """The workload with every lookup compiling its plan (a capacity-0
+    cache stores nothing), then through the shared cache."""
+    import numpy as np
+
+    from ..mpi import DOUBLE, make_vector
+    from ..mpi.datatypes import plan_cache_capacity
+
+    vec = make_vector(PLAN_NBLOCKS, 1, 2, DOUBLE).commit()
+    src = np.arange(2 * PLAN_NBLOCKS * PLAN_COUNT, dtype=np.float64)
+    dst = np.zeros(PLAN_NBLOCKS * PLAN_COUNT, dtype=np.float64)
+    with plan_cache_capacity(0):
+        t_cold = _plan_best_seconds(vec, src, dst)
+    t_cached = _plan_best_seconds(vec, src, dst)
     return {
-        "base_seconds": t_base,
-        "head_seconds": t_head,
-        "speedup": t_base / t_head,
+        "cold_seconds": t_cold,
+        "cached_seconds": t_cached,
+        "speedup": t_cold / t_cached,
     }
 
 
@@ -304,14 +313,10 @@ register(
         title="TransferPlan cache keeps paying for itself",
         ns="plan",
         measure=_plan_measure,
-        setup=lambda ctx: _setup_worktree(ctx, "plan"),
-        teardown=lambda ctx: _teardown_worktree(ctx, "plan"),
         default_repeats=5,
-        options=("plan.base",),
         describe=lambda ctx: {
-            "base_rev": ctx.scratch.get("base_rev", "unknown"),
             "workload": "repeated derived-type pack_bytes + Send over one "
-            "(datatype, count) pair",
+            "(datatype, count) pair, compiled per call vs cached",
         },
         checks=(
             GateCheck(
@@ -329,19 +334,17 @@ register(
 # ======================================================================
 # exec-speedup
 # ======================================================================
-def _exec_sizes(ctx: GateContext) -> tuple[int, ...]:
-    raw = ctx.opt_str("exec.sizes", "500000,1000000") or ""
-    return tuple(int(s) for s in raw.split(",") if s)
+#: The sweep the exec gate times four ways, and its parallel run's
+#: worker count.
+EXEC_PLATFORM, EXEC_SIZES, EXEC_ITERATIONS = "skx-impi", (500_000, 1_000_000), 20
+EXEC_JOBS = 2
 
 
-def _exec_config(ctx: GateContext):
+def _exec_config():
     from ..core import SweepConfig, TimingPolicy
 
     return SweepConfig(
-        sizes=_exec_sizes(ctx),
-        policy=TimingPolicy(
-            iterations=ctx.opt_int("exec.iterations", 20) or 20, flush=True
-        ),
+        sizes=EXEC_SIZES, policy=TimingPolicy(iterations=EXEC_ITERATIONS, flush=True)
     )
 
 
@@ -357,23 +360,20 @@ def _exec_measure(ctx: GateContext) -> dict[str, float]:
     from ..core import run_sweep
     from ..exec import Executor, ResultStore
 
-    config = _exec_config(ctx)
-    platform = ctx.opt_str("exec.platform", "skx-impi") or "skx-impi"
-    jobs = ctx.opt_int("exec.jobs", 2) or 2
-    chunk_size = ctx.opt_int("exec.chunk_size", None)
+    config = _exec_config()
 
     def timed(executor: Executor):
         # Closing inside the timed region counts the parallel run's
         # worker fork and join, as a one-command run would.
         t0 = time.perf_counter()
         with executor:
-            sweep = run_sweep(platform, config, executor=executor)
+            sweep = run_sweep(EXEC_PLATFORM, config, executor=executor)
         return time.perf_counter() - t0, sweep
 
     with tempfile.TemporaryDirectory(prefix="exec-bench-") as cache_root:
         store = ResultStore(cache_root)
         t_serial, s_serial = timed(Executor(jobs=1))
-        t_parallel, s_parallel = timed(Executor(jobs=jobs, chunk_size=chunk_size))
+        t_parallel, s_parallel = timed(Executor(jobs=EXEC_JOBS))
         t_cold, s_cold = timed(Executor(jobs=1, cache=store))
         t_warm, s_warm = timed(Executor(jobs=1, cache=store))
 
@@ -394,13 +394,12 @@ def _exec_measure(ctx: GateContext) -> dict[str, float]:
 
 
 def _exec_describe(ctx: GateContext) -> dict[str, Any]:
-    config = _exec_config(ctx)
+    config = _exec_config()
     return {
         "workload": f"{len(config.schemes)} schemes x {list(config.sizes)} B, "
         f"{config.policy.iterations} iterations, flushed, materialized",
-        "platform": ctx.opt_str("exec.platform", "skx-impi"),
-        "jobs": ctx.opt_int("exec.jobs", 2),
-        "chunk_size": ctx.opt_int("exec.chunk_size", None),
+        "platform": EXEC_PLATFORM,
+        "jobs": EXEC_JOBS,
         "cpus": ctx.cpus,
     }
 
@@ -413,9 +412,6 @@ register(
         measure=_exec_measure,
         describe=_exec_describe,
         default_repeats=3,
-        options=(
-            "exec.sizes", "exec.iterations", "exec.platform", "exec.jobs", "exec.chunk_size"
-        ),
         checks=(
             GateCheck(
                 name="identity",
@@ -598,7 +594,11 @@ register(
 # ======================================================================
 # shm-overhead
 # ======================================================================
-def _shm_halo_setup(ctx: GateContext):
+#: Ranks of the all-on-node halo job.
+SHM_RANKS = 64
+
+
+def _shm_halo_setup():
     """The all-on-node halo: every rank of the job on one node, so all
     ring faces ride the shm transport when the model is attached and
     the (pre-refactor) fabric path when it is not."""
@@ -607,13 +607,12 @@ def _shm_halo_setup(ctx: GateContext):
     from ..machine.network import default_shm_model
     from ..net import make_topology
 
-    nranks = ctx.opt_int("shm.ranks", 64) or 64
     spec = HaloSpec(nx=64, ny=32, ghost=2, iterations=2)
     topo = make_topology(
-        "fat-tree", nranks, ranks_per_node=nranks, placement="block"
+        "fat-tree", SHM_RANKS, ranks_per_node=SHM_RANKS, placement="block"
     )
     plat_net = get_platform("skx-impi").with_topology(topo)
-    return nranks, spec, plat_net, plat_net.with_shm(default_shm_model())
+    return spec, plat_net, plat_net.with_shm(default_shm_model())
 
 
 def _shm_time_halo(spec, nranks: int, platform) -> tuple[float, int]:
@@ -630,9 +629,9 @@ def _shm_time_halo(spec, nranks: int, platform) -> tuple[float, int]:
 
 def _shm_measure(ctx: GateContext) -> dict[str, float]:
     metrics = dict(_golden_passes(ctx))
-    nranks, spec, plat_net, plat_shm = _shm_halo_setup(ctx)
-    t_net, net_shm_sends = _shm_time_halo(spec, nranks, plat_net)
-    t_shm, shm_sends = _shm_time_halo(spec, nranks, plat_shm)
+    spec, plat_net, plat_shm = _shm_halo_setup()
+    t_net, net_shm_sends = _shm_time_halo(spec, SHM_RANKS, plat_net)
+    t_shm, shm_sends = _shm_time_halo(spec, SHM_RANKS, plat_shm)
     metrics.update(
         network_seconds=t_net,
         shm_seconds=t_shm,
@@ -650,7 +649,6 @@ register(
         ns="shm",
         measure=_shm_measure,
         default_repeats=3,
-        options=("shm.ranks",),
         describe=lambda ctx: {
             "workload": "64 golden cells (cold + warm store) and an "
             "all-on-node 64-rank halo with/without the shm transport"
@@ -685,6 +683,10 @@ register(
 # ======================================================================
 # kernel-speedup
 # ======================================================================
+#: Runs in the gate's plan, and timed calls per path (the best counts).
+KERNEL_N_RUNS, KERNEL_INNER_REPEATS = 4096, 7
+
+
 def _kernel_plan(n_runs: int):
     from ..mpi.datatypes.plan import TransferPlan
     from ..mpi.datatypes.runs import ContigRun, combine_patterns
@@ -708,18 +710,15 @@ def _kernel_plan(n_runs: int):
 def _kernel_measure(ctx: GateContext) -> dict[str, float]:
     import numpy as np
 
-    inner = ctx.opt_int("kernels.inner_repeats", 7) or 7
-    n_runs = ctx.opt_int("kernels.n_runs", 4096) or 4096
-
     def best(fn) -> float:
         t_best = float("inf")
-        for _ in range(inner):
+        for _ in range(KERNEL_INNER_REPEATS):
             t0 = time.perf_counter()
             fn()
             t_best = min(t_best, time.perf_counter() - t0)
         return t_best
 
-    plan = _kernel_plan(n_runs)
+    plan = _kernel_plan(KERNEL_N_RUNS)
     src = np.arange(plan.max_end, dtype=np.int64).view(np.uint8)[: plan.max_end].copy()
     packed_scalar = np.zeros(plan.nbytes, dtype=np.uint8)
     packed_batched = np.zeros(plan.nbytes, dtype=np.uint8)
@@ -770,10 +769,8 @@ register(
         ns="kernels",
         measure=_kernel_measure,
         default_repeats=1,
-        options=("kernels.inner_repeats", "kernels.n_runs"),
         describe=lambda ctx: {
-            "workload": f"{ctx.opt_int('kernels.n_runs', 4096)} contiguous runs "
-            "(gather/scatter)"
+            "workload": f"{KERNEL_N_RUNS} contiguous runs (gather/scatter)"
         },
         checks=(
             GateCheck(
@@ -804,6 +801,10 @@ register(
 # ======================================================================
 # serve-throughput
 # ======================================================================
+#: Concurrent clients, and synchronized rounds each of them submits.
+SERVE_CLIENTS, SERVE_ROUNDS = 4, 3
+
+
 def _serve_requests(rounds: int) -> list:
     """The per-round request bodies: a shared hot grid in round 0, then
     a perturbed-eager-limit variant per later round — every round prices
@@ -831,10 +832,8 @@ def _serve_measure(ctx: GateContext) -> dict[str, float]:
 
     from ..serve import ServeClient, ServerThread
 
-    clients = ctx.opt_int("serve.clients", 4)
-    rounds = ctx.opt_int("serve.rounds", 3)
-    requests = _serve_requests(rounds)
-    barrier = threading.Barrier(clients)
+    requests = _serve_requests(SERVE_ROUNDS)
+    barrier = threading.Barrier(SERVE_CLIENTS)
     lock = threading.Lock()
     latencies: list[float] = []
     failures: list[str] = []
@@ -864,7 +863,7 @@ def _serve_measure(ctx: GateContext) -> dict[str, float]:
                             failures.append(f"{type(exc).__name__}: {exc}")
                         return
 
-            threads = [threading.Thread(target=drive) for _ in range(clients)]
+            threads = [threading.Thread(target=drive) for _ in range(SERVE_CLIENTS)]
             t_begin = time.perf_counter()
             for thread in threads:
                 thread.start()
@@ -902,10 +901,9 @@ register(
         ns="serve",
         measure=_serve_measure,
         default_repeats=1,
-        options=("serve.clients", "serve.rounds"),
         describe=lambda ctx: {
-            "workload": f"{ctx.opt_int('serve.clients', 4)} concurrent clients "
-            f"x {ctx.opt_int('serve.rounds', 3)} synchronized rounds of a "
+            "workload": f"{SERVE_CLIENTS} concurrent clients "
+            f"x {SERVE_ROUNDS} synchronized rounds of a "
             "6-cell ideal-platform grid (hot round 0, perturbed eager "
             "limits after)"
         },

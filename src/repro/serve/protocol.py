@@ -42,6 +42,7 @@ __all__ = [
     "PlatformSpec",
     "SweepRequest",
     "CompiledSweep",
+    "check_salt",
     "encode_cell",
     "decode_outcome",
 ]
@@ -63,6 +64,18 @@ class ProtocolError(Exception):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)
+
+
+def check_salt(salt: Any) -> str:
+    """``salt`` if it can name a store generation directory: a non-empty
+    string with no ``/`` or ``.``, so ``<root>/<salt>`` never leaves the
+    store root.  The one rule for a ``POST /sweep`` body and a
+    ``GET /cells`` query; raises :class:`ProtocolError` (400)."""
+    _require(
+        isinstance(salt, str) and bool(salt) and "/" not in salt and "." not in salt,
+        "salt must be a non-empty path-safe string",
+    )
+    return salt
 
 
 @dataclass(frozen=True)
@@ -235,11 +248,7 @@ class SweepRequest:
             and concurrent_streams >= 1,
             "concurrent_streams must be a positive integer",
         )
-        salt = data.get("salt", MODEL_VERSION)
-        _require(
-            isinstance(salt, str) and bool(salt) and "/" not in salt and "." not in salt,
-            "salt must be a non-empty path-safe string",
-        )
+        salt = check_salt(data.get("salt", MODEL_VERSION))
         tags = data.get("tags", {})
         _require(isinstance(tags, dict), "tags must be an object")
 

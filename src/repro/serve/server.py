@@ -31,7 +31,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import host as _host
-from .protocol import ProtocolError, SweepRequest
+from .protocol import ProtocolError, SweepRequest, check_salt
 from .service import SweepService
 
 __all__ = ["ReproServer", "ServerThread"]
@@ -166,7 +166,9 @@ class ReproServer:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    raise _HttpError(400, "bad Content-Length") from None
+                    length = -1
+                if length < 0:
+                    raise _HttpError(400, "bad Content-Length")
         if length > MAX_BODY_BYTES:
             raise _HttpError(413, f"body exceeds {MAX_BODY_BYTES} bytes")
         body = await reader.readexactly(length) if length else b""
@@ -196,7 +198,10 @@ class ReproServer:
         elif path.startswith("/cells/"):
             self._require_get(method, path)
             digest = path[len("/cells/") :]
-            cell = self.service.read_cell(digest, salt=query.get("salt"))
+            salt = query.get("salt")
+            if salt is not None:
+                check_salt(salt)
+            cell = self.service.read_cell(digest, salt=salt)
             if cell is None:
                 raise _HttpError(404, f"no cached cell {digest!r}")
             await self._send_json(writer, 200, cell)

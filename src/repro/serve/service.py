@@ -83,6 +83,8 @@ class SweepService:
     ):
         if max_concurrent_jobs < 1:
             raise ValueError("max_concurrent_jobs must be >= 1")
+        if max_store_bytes is not None and max_store_bytes < 0:
+            raise ValueError("max_store_bytes must be non-negative")
         self.registry = JobRegistry()
         self.inflight = InFlightTable()
         #: Always-on service metrics (request counters, job latency,
@@ -290,10 +292,15 @@ class SweepService:
 
     # ------------------------------------------------------------------
     def read_cell(self, digest: str, salt: str | None = None) -> dict[str, Any] | None:
-        """The persisted payload behind ``GET /cells/<digest>``."""
-        store = self.store_for(salt if salt is not None else _default_salt())
-        if store is None:
+        """The persisted payload behind ``GET /cells/<digest>``.  A read
+        never adds a store to the table: a salt no job has written reads
+        through a throwaway store (``salt`` is already path-checked)."""
+        if not self._cache:
             return None
+        salt = salt if salt is not None else _default_salt()
+        store = self._stores.get(salt)
+        if store is None:
+            store = ResultStore(self._store_root, salt=salt)
         return store.read_digest(digest)
 
     def stats(self) -> dict[str, Any]:

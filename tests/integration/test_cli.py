@@ -202,6 +202,8 @@ def test_jobs_defaults_to_one_worker_per_cpu():
      "--per-decade", "1", "--iterations", "2", "--schemes", "vector"],
     ["sweep", "--quick", "--table", "slowdown", "--schemes", "vector"],
     ["figure", "fig3", "--quick", "--schemes", "vector", "copying"],
+    # A store bound may be zero (evict everything) but not negative.
+    ["serve", "--max-store-bytes", "-5"],
 ])
 def test_non_positive_jobs_and_chunk_size_are_usage_errors(argv, capsys, monkeypatch):
     """Exit 2 with one argparse error line naming the flag, before
@@ -414,13 +416,11 @@ def test_cache_stats_reports_lifetime_counters(capsys):
 
 
 # ----------------------------------------------------------------------
-# repro perf — quick settings: tiny kernel workload, thresholds loosened
-# so only the bit-identity checks (which must hold at any size) gate.
+# repro perf — the kernel gate with its speed floors loosened, so only
+# the bit-identity check (which must hold on any host) gates.
 # ----------------------------------------------------------------------
 QUICK_KERNEL_GATE = [
     "--gate", "kernel-speedup",
-    "--option", "kernels.inner_repeats=1",
-    "--option", "kernels.n_runs=64",
     "--option", "kernels.min_gather_speedup=0.0001",
 ]
 
@@ -440,31 +440,6 @@ def test_perf_gate_failure_exit_code(capsys):
     )
     assert main(cmd) == 1
     assert "FAIL: gather" in capsys.readouterr().out
-
-
-def test_perf_record_diff_report_roundtrip(tmp_path, capsys):
-    ledger_dir = str(tmp_path / "ledger")
-    record = ["perf", "record", *QUICK_KERNEL_GATE, "--ledger-dir", ledger_dir]
-    assert main(record) == 0
-    assert main(record) == 0
-    out = capsys.readouterr().out
-    assert "recorded" in out
-
-    assert main(["perf", "report", "--ledger-dir", ledger_dir]) == 0
-    report = capsys.readouterr().out
-    assert "2 recorded run(s)" in report
-    assert "kernel-speedup" in report and "PASS" in report
-
-    assert main(["perf", "diff", "@0", "latest",
-                 "--ledger-dir", ledger_dir]) == 0
-    diff = capsys.readouterr().out
-    assert "perf diff:" in diff
-    assert "noise band" in diff
-
-    # Unknown refs are a clean error, not a traceback.
-    assert main(["perf", "diff", "@0", "beef",
-                 "--ledger-dir", ledger_dir]) == 1
-    assert "no ledger entry" in capsys.readouterr().err
 
 
 def test_perf_gate_writes_valid_host_trace(tmp_path, capsys):

@@ -93,7 +93,7 @@ class TestRecording:
         assert snap["lanes"]["main"]["spans"] == 1
         assert snap["lanes"]["main"]["busy_seconds"] >= 0.0
         assert snap["metrics"]["exec.chunks_completed"] == 2
-        json.dumps(snap)  # must serialize as-is for the ledger
+        json.dumps(snap)  # must serialize as-is
 
     def test_off_main_thread_gets_its_own_lane(self):
         t = HostTelemetry()

@@ -1,6 +1,7 @@
 """Tests of the built-in gate specs: the structural leg of the
-tracing-overhead gate (the zero-cost-when-off contract) and the
-exec-speedup gate's single-CPU skip."""
+tracing-overhead gate (the zero-cost-when-off contract), what the
+plan-speedup gate's two halves measure, and the exec-speedup gate's
+single-CPU skip."""
 
 from __future__ import annotations
 
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import repro.perf.gates as gates_mod
+from repro.mpi.datatypes.plan import PlanCache
 from repro.perf import get_gate, run_gate
-from repro.perf.workloads import STRUCTURAL_CHECK
+from repro.perf.workloads import PLAN_COUNT, STRUCTURAL_CHECK
 
 REPO = Path(__file__).resolve().parents[2]
 
@@ -38,6 +40,39 @@ class TestStructuralCheck:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestPlanSpeedupGate:
+    def test_cold_half_always_compiles_and_cached_half_always_hits(
+        self, monkeypatch
+    ):
+        """One run of the registered gate, read from the cache's own
+        counters rather than a clock: under the capacity-0 cache every
+        lookup compiles, and through the shared cache every lookup after
+        the first hits."""
+        lookups = []  # (capacity-0 cache?, hit?) per workload lookup
+        real_get = PlanCache.get
+
+        def spy(self, dtype, count, metrics=None):
+            hits = self.hits
+            plan = real_get(self, dtype, count, metrics)
+            if count == PLAN_COUNT:  # not the count=1 plan Commit() warms
+                lookups.append((self.capacity <= 0, self.hits > hits))
+            return plan
+
+        monkeypatch.setattr(PlanCache, "get", spy)
+        result, _ = run_gate(
+            get_gate("plan-speedup"), {"plan.repeats": "1"}, capture_host=False
+        )
+        assert result.error is None
+        cold = [hit for uncached, hit in lookups if uncached]
+        cached = [hit for uncached, hit in lookups if not uncached]
+        assert cold and not any(cold)
+        assert len(cached) == len(cold)
+        assert cached[0] is False and all(cached[1:])
+        assert result.metrics["speedup"] == (
+            result.metrics["cold_seconds"] / result.metrics["cached_seconds"]
+        )
 
 
 def run_exec_gate(monkeypatch, *, cpus, parallel_speedup, cache_speedup):

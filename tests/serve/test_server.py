@@ -102,6 +102,22 @@ def test_oversized_body_is_413(server):
         conn.close()
 
 
+def test_negative_content_length_is_400(server):
+    errors = server.service.metrics.counter_value("serve.request_errors")
+    conn = HTTPConnection(server._server.host, server.port, timeout=30)
+    try:
+        conn.putrequest("POST", "/sweep")
+        conn.putheader("Content-Length", "-5")
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 400
+        assert json.loads(response.read())["error"] == "bad Content-Length"
+    finally:
+        conn.close()
+    # A bad request, not a daemon fault.
+    assert server.service.metrics.counter_value("serve.request_errors") == errors
+
+
 def test_unknown_job_is_404(client):
     with pytest.raises(ServeError) as info:
         client.request_json("GET", "/jobs/job-9999")
@@ -112,6 +128,40 @@ def test_missing_cell_is_404(client):
     with pytest.raises(ServeError) as info:
         client.cell("0" * 64)
     assert info.value.status == 404
+
+
+def test_traversal_salt_is_400_and_touches_nothing_outside_the_root(tmp_path):
+    """``?salt=`` obeys the ``POST /sweep`` rule: a salt that could
+    leave the store root neither serves nor migrates a file there."""
+    digest = "ab" + "0" * 62
+    sharded = tmp_path / "victim" / "ab" / f"{digest}.json"
+    sharded.parent.mkdir(parents=True)
+    sharded.write_text('{"outside": 1}')
+    legacy = tmp_path / "victim2" / f"{digest}.json"
+    legacy.parent.mkdir()
+    legacy.write_text('{"outside": 2}')
+    root = tmp_path / "root"
+    root.mkdir()
+    with ServerThread(store_root=root) as srv:
+        client = ServeClient(srv.url, timeout=60.0)
+        for salt in ("../victim", "../victim2"):
+            with pytest.raises(ServeError) as info:
+                client.cell(digest, salt=salt)
+            assert info.value.status == 400
+            assert "salt must be a non-empty path-safe string" in str(info.value)
+    assert sharded.read_text() == '{"outside": 1}'
+    assert legacy.read_text() == '{"outside": 2}'
+    assert not (tmp_path / "victim2" / "ab").exists()
+
+
+def test_reading_an_unknown_salt_adds_no_store(client):
+    client.request_json("POST", "/sweep?wait=1", sweep_body(sizes=[1024]))
+    before = client.stats()["stores"]
+    assert before  # the sweep's store
+    with pytest.raises(ServeError) as info:
+        client.cell("0" * 64, salt="never-written")
+    assert info.value.status == 404
+    assert client.stats()["stores"] == before
 
 
 # ----------------------------------------------------------------------

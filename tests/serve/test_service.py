@@ -260,6 +260,12 @@ def test_unknown_platform_fails_at_submit(tmp_path):
     asyncio.run(run())
 
 
+def test_negative_store_bound_is_rejected_at_construction(tmp_path):
+    with pytest.raises(ValueError, match="max_store_bytes must be non-negative"):
+        SweepService(store_root=tmp_path, max_store_bytes=-5)
+    assert SweepService(store_root=tmp_path, max_store_bytes=0)  # evict all
+
+
 def test_drain_waits_for_scheduled_jobs(tmp_path):
     async def run():
         service = SweepService(store_root=tmp_path)
