@@ -29,7 +29,7 @@ from .core.schemes import ALL_SCHEME_KEYS, PAPER_ORDER, SCHEME_CLASSES
 from .core.sweep import SweepConfig, default_message_sizes
 from .core.timing import TimingPolicy
 from .core.runner import run_sweep
-from .exec import Executor, ResultStore, using_executor
+from .exec import Executor, ResultStore, StoreError, using_executor
 from .experiments.registry import EXPERIMENTS, run_experiment
 from .machine.registry import get_platform, list_platforms
 from .net import TOPOLOGY_KINDS
@@ -43,8 +43,7 @@ def _executor_from(args: argparse.Namespace) -> Executor | None:
     if not hasattr(args, "jobs"):
         return None
     cache = None if args.no_cache else ResultStore()
-    return Executor(jobs=args.jobs, cache=cache,
-                    chunk_size=getattr(args, "chunk_size", None))
+    return Executor(jobs=args.jobs, cache=cache)
 
 
 def _bounded_int(text: str, requirement: str, minimum: int,
@@ -437,7 +436,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             store_root=args.dir,
             cache=not args.no_cache,
             jobs=args.jobs,
-            chunk_size=args.chunk_size,
             max_store_bytes=args.max_store_bytes,
             max_concurrent_jobs=args.max_jobs,
         )
@@ -553,9 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"run cells on N worker processes, one pool for the "
                             f"whole command (default {jobs}: one per CPU; 1 runs "
                             f"serially; results are bit-identical either way)")
-        p.add_argument("--chunk-size", type=_positive_int, default=None, metavar="CELLS",
-                       help="cells per worker task under --jobs (default: sized "
-                            "automatically; chunking never changes results)")
         p.add_argument("--no-cache", action="store_true",
                        help="skip the on-disk result store (see 'repro cache')")
         p.add_argument("--host-trace", metavar="PATH", type=_output_path, default=None,
@@ -704,8 +699,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", "-j", type=_positive_int, default=jobs, metavar="N",
                    help=f"worker processes, one pool shared by every job "
                         f"(default {jobs}: one per CPU; 1 runs serially)")
-    p.add_argument("--chunk-size", type=_positive_int, default=None, metavar="CELLS",
-                   help="cells per worker task under --jobs")
     p.add_argument("--no-cache", action="store_true",
                    help="serve without the on-disk result store (in-flight "
                         "dedup still collapses concurrent duplicates)")
@@ -804,6 +797,17 @@ def main(argv: list[str] | None = None) -> int:
         # The reader went away (``repro schemes | head -1``).  Point
         # stdout at devnull so the exit flush cannot raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except StoreError as exc:
+        print(f"error: {exc}; rerun with --no-cache to skip the store", file=sys.stderr)
+        return 1
+    except RuntimeError as exc:
+        # Imported here: loading the daemon costs every command's startup.
+        from .serve import ServeError
+
+        if not isinstance(exc, ServeError):
+            raise
+        print(f"error: {exc}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         # Completed cells are already durable in the result store; a

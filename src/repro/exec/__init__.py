@@ -11,7 +11,7 @@ and cache-invalidation rules).
 
 from .executor import Executor, WorkerPool, current_executor, using_executor
 from .spec import CellOutcome, CellSpec, execute_spec
-from .store import ResultStore, StoreStats, default_cache_dir
+from .store import ResultStore, StoreError, StoreStats, default_cache_dir
 
 __all__ = [
     "CellSpec",
@@ -22,6 +22,7 @@ __all__ = [
     "current_executor",
     "using_executor",
     "ResultStore",
+    "StoreError",
     "StoreStats",
     "default_cache_dir",
 ]

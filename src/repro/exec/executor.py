@@ -20,11 +20,9 @@ bit-identical:
   attached, hits skip execution entirely and misses are persisted the
   moment they complete, making interrupted batches resumable.
 
-Per-cell metrics registries are merged (commutatively, so parallel
-completion order does not matter) into :attr:`Executor.metrics`;
-traced runs (``repro trace``/``explain``) keep calling
+Traced runs (``repro trace``/``explain``) call
 :func:`~repro.core.pingpong.run_pingpong` directly, since a trace wants
-one world's recorder, not an aggregate.
+one world's recorder, not a batch.
 
 The *ambient* executor (:func:`current_executor`/:func:`using_executor`)
 is how the CLI threads ``--jobs``/``--no-cache`` through every code
@@ -49,7 +47,6 @@ from ..core.layout import Layout
 from ..core.pingpong import PingPongResult
 from ..core.timing import TimingPolicy
 from ..machine.platform import Platform
-from ..obs import MetricsRegistry
 from ..obs import host as _host
 from .spec import CellOutcome, CellSpec, execute_spec
 from .store import ResultStore
@@ -246,8 +243,6 @@ class Executor:
         self.chunk_size = chunk_size
         self._owns_pool = pool is None and jobs > 1
         self.pool = WorkerPool(jobs) if self._owns_pool else pool
-        #: Batch-aggregated metrics from every freshly executed cell.
-        self.metrics = MetricsRegistry()
         self.cells_executed = 0
         self.cells_cached = 0
 
@@ -392,9 +387,6 @@ class Executor:
                     telemetry.metrics.gauge("exec.queue_depth").set(len(not_done))
                     telemetry.event("exec.queue_depth", depth=len(not_done))
                 for fut in done:
-                    # Results stream back per chunk; the metrics merge
-                    # stays commutative, so chunk completion order is
-                    # unobservable in the aggregate.
                     outcomes, report = fut.result()
                     if telemetry is not None:
                         telemetry.metrics.counter("exec.chunks_completed").inc()
@@ -430,8 +422,6 @@ class Executor:
         self.cells_executed += 1
         if self.cache is not None:
             self.cache.put(spec, outcome)
-        if outcome.metrics is not None:
-            self.metrics.merge(outcome.metrics)
 
     # ------------------------------------------------------------------
     def starmap(self, fn: Callable[..., Any], argtuples: Sequence[tuple]) -> list[Any]:

@@ -27,7 +27,6 @@ from ..core.schemes import make_scheme
 from ..core.timing import TimingPolicy, summarize
 from ..machine.fingerprint import digest_of
 from ..machine.platform import Platform
-from ..obs import MetricsRegistry
 
 __all__ = ["CellSpec", "CellOutcome", "execute_spec"]
 
@@ -116,7 +115,6 @@ class CellSpec:
             stats=summarize(list(outcome.times), self.policy.dismiss_sigma),
             verified=outcome.verified,
             events=outcome.events,
-            metrics=outcome.metrics,
             virtual_time=outcome.virtual_time,
             cached=cached,
         )
@@ -127,17 +125,13 @@ class CellOutcome:
     """The persistable product of executing one :class:`CellSpec`.
 
     Carries the raw per-iteration times (not derived stats — those are
-    recomputed on load) plus the determinism fingerprint fields.  The
-    metrics registry rides along from fresh executions so the executor
-    can merge it into its batch aggregate, but it is never persisted:
-    a cache hit returns ``metrics=None``.
+    recomputed on load) plus the determinism fingerprint fields.
     """
 
     times: tuple[float, ...]
     verified: bool
     events: int
     virtual_time: float
-    metrics: MetricsRegistry | None = field(default=None, compare=False, repr=False)
 
 
 def execute_spec(spec: CellSpec) -> CellOutcome:
@@ -156,5 +150,4 @@ def execute_spec(spec: CellSpec) -> CellOutcome:
         verified=cell.verified,
         events=cell.events,
         virtual_time=cell.virtual_time,
-        metrics=cell.metrics,
     )

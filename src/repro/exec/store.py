@@ -1,23 +1,22 @@
 """Content-addressed on-disk result store.
 
 One JSON file per executed cell, addressed by the cell's content
-digest, under a *model-version salt* directory with a two-hex-char
-shard fan-out::
+digest, under a *model-version* directory with a two-hex-char shard
+fan-out::
 
-    <root>/<salt>/<digest[:2]>/<digest>.json
+    <root>/<MODEL_VERSION>/<digest[:2]>/<digest>.json
 
-The salt is :data:`repro.machine.fingerprint.MODEL_VERSION`; bumping it
-(whenever pricing under ``repro.machine``/``repro.mpi`` changes)
-orphans every previously cached cell without touching the files, so a
-stale generation can still be inspected — ``repro cache stats`` reports
-it, ``repro cache clear`` reaps it.
+A store reads and writes only the running code's
+:data:`repro.machine.fingerprint.MODEL_VERSION`; bumping it (whenever
+pricing under ``repro.machine``/``repro.mpi`` changes) orphans every
+previously cached cell without touching the files, so a stale
+generation can still be inspected — ``repro cache stats`` reports it,
+``repro cache clear`` reaps it.
 
 The shard fan-out is what keeps directory operations flat at 10^5+
-cells: no single directory ever holds more than ~1/256th of a salt's
-entries.  Flat *legacy* entries (``<root>/<salt>/<digest>.json``, the
-pre-fan-out layout) are still served and are migrated into their shard
-lazily, on first access — a migration is a single ``os.replace``, so it
-is atomic and free of copies.
+cells: no single directory ever holds more than ~1/256th of a
+generation's entries.  Sizes come from a walk of those directories;
+nothing on disk records them.
 
 Floats are persisted as ``float.hex()`` strings: a cache hit
 reconstitutes the *exact* per-iteration times, so cached and fresh
@@ -26,7 +25,9 @@ results are bit-identical (the golden tests pin this).
 Writes are atomic (temp file + ``os.replace``) and per-cell, which is
 what makes interrupted sweeps resumable: every cell completed before a
 ``KeyboardInterrupt`` is already durable, and re-running the same
-command fast-forwards through them as hits.
+command fast-forwards through them as hits.  A write that fails (an
+unwritable root, a full disk) removes its temp file and raises
+:class:`StoreError`; the cells already written stay readable.
 
 When constructed with ``max_bytes``, the store is **size-bounded**:
 after a put pushes the total over the bound, least-recently-used
@@ -39,6 +40,7 @@ lifetime eviction pressure across processes.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -51,7 +53,7 @@ from ..machine.fingerprint import MODEL_VERSION
 from ..obs import host as _host
 from .spec import CellOutcome, CellSpec
 
-__all__ = ["ResultStore", "StoreStats", "default_cache_dir"]
+__all__ = ["ResultStore", "StoreError", "StoreStats", "default_cache_dir"]
 
 #: Bump when the *file format* (not the pricing model) changes.
 _FORMAT_VERSION = 1
@@ -68,20 +70,28 @@ _COUNTER_KEYS = (
     "bytes_read",
     "bytes_written",
     "evictions",
-    "migrations",
 )
-
-#: Sidecar key caching the per-salt entry count/size index, so
-#: ``stats`` does not need an O(n) directory walk on every call.
-_INDEX_KEY = "index"
 
 #: Digest filenames are exactly 64 lowercase hex chars + ".json";
 #: shard directories are the first two.
 _DIGEST_HEX = set("0123456789abcdef")
 
 
+class StoreError(OSError):
+    """A cell could not be written to the result store (an unwritable
+    root, a full disk); the message names the root and the cause."""
+
+
 def _is_digest_name(stem: str) -> bool:
     return len(stem) == 64 and set(stem) <= _DIGEST_HEX
+
+
+def _size_of(path: Path) -> int | None:
+    """``path``'s size in bytes, or ``None`` when it is gone."""
+    try:
+        return path.stat().st_size
+    except OSError:
+        return None
 
 
 def _scratch_path(path: Path) -> Path:
@@ -90,6 +100,21 @@ def _scratch_path(path: Path) -> Path:
     threaded executor) must never share a temp file, or one writer's
     rename erases the other's pending bytes."""
     return path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a scratch file and a rename;
+    on failure the scratch file is removed and the ``OSError``
+    propagates."""
+    tmp = _scratch_path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def default_cache_dir() -> Path:
@@ -111,15 +136,14 @@ class StoreStats:
     salt: str
     entries: int
     bytes: int
-    stale_entries: int  #: Entries under other (orphaned) salts.
-    generations_orphaned: int = 0  #: Distinct older salt generations on disk.
+    stale_entries: int  #: Entries under other (orphaned) model versions.
+    generations_orphaned: int = 0  #: Distinct older generations on disk.
     hits: int = 0  #: Lifetime cache hits (persisted counter).
     misses: int = 0  #: Lifetime cache misses.
     writes: int = 0  #: Lifetime cell writes.
     bytes_read: int = 0  #: Lifetime bytes served from cache files.
     bytes_written: int = 0  #: Lifetime bytes persisted.
     evictions: int = 0  #: Lifetime size-bound evictions.
-    migrations: int = 0  #: Lifetime legacy-entry shard migrations.
 
     def render(self) -> str:
         lines = [
@@ -134,10 +158,6 @@ class StoreStats:
         if self.evictions:
             lines.append(
                 f"  evicted:     {self.evictions} entries (size-bound LRU)"
-            )
-        if self.migrations:
-            lines.append(
-                f"  migrated:    {self.migrations} legacy entries into shards"
             )
         if self.stale_entries:
             lines.append(
@@ -155,16 +175,19 @@ class StoreStats:
 class ResultStore:
     """Content-addressed cell-outcome store on the local filesystem.
 
+    It reads and writes the generation of the running code's
+    ``MODEL_VERSION`` (:attr:`salt`, fixed at construction); the other
+    generations under the root only count as stale and take part in
+    eviction and :meth:`clear`.
+
     Parameters
     ----------
     root:
         Store directory (default: :func:`default_cache_dir`).
-    salt:
-        Model-version generation to read/write under.
     max_bytes:
         Optional size bound.  When set, a put that pushes the store
-        (all salts) past the bound triggers an LRU eviction pass back
-        down to it.  ``None`` (default) never evicts.
+        (all generations) past the bound triggers an LRU eviction pass
+        back down to it.  ``None`` (default) never evicts.
     protect:
         Optional callable returning digests that must never be evicted
         (the serve daemon's in-flight set).  Consulted at eviction time,
@@ -176,14 +199,13 @@ class ResultStore:
         self,
         root: str | Path | None = None,
         *,
-        salt: str = MODEL_VERSION,
         max_bytes: int | None = None,
         protect: Callable[[], Collection[str]] | None = None,
     ):
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.salt = salt
+        self.salt = MODEL_VERSION
         self.max_bytes = max_bytes
         self.protect = protect
         # In-process access counters since construction (or the last
@@ -195,10 +217,12 @@ class ResultStore:
         self.bytes_read = 0
         self.bytes_written = 0
         self.evictions = 0
-        self.migrations = 0
-        # In-process (entries, bytes) deltas per salt, folded into the
-        # sidecar's cached index by flush_counters()/stats().
-        self._index_delta: dict[str, list[int]] = {}
+        # Bytes under the root as this process knows them: a scan seeds
+        # it at first use, puts and evictions move it, and every
+        # evict_to() scan resets it.  Other processes' writes show up at
+        # the next scan.  The daemon's jobs put from several threads.
+        self._total_bytes: int | None = None
+        self._total_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def path_for(self, spec: CellSpec) -> Path:
@@ -207,10 +231,6 @@ class ResultStore:
     def path_for_digest(self, digest: str) -> Path:
         """The sharded on-disk location of one digest's entry."""
         return self.root / self.salt / digest[:2] / f"{digest}.json"
-
-    def legacy_path_for_digest(self, digest: str) -> Path:
-        """The pre-fan-out flat location (read + migrate only)."""
-        return self.root / self.salt / f"{digest}.json"
 
     def get(self, spec: CellSpec) -> CellOutcome | None:
         """The stored outcome for ``spec``, or ``None``.
@@ -248,18 +268,12 @@ class ResultStore:
         return outcome
 
     def _read_entry(self, digest: str) -> str | None:
-        """Raw text of one digest's entry, migrating a flat legacy file
-        into its shard on the way; ``None`` when absent."""
+        """Raw text of one digest's entry; ``None`` when absent."""
         path = self.path_for_digest(digest)
         try:
             text = path.read_text()
         except FileNotFoundError:
-            if not self._migrate_legacy(digest, path):
-                return None
-            try:
-                text = path.read_text()
-            except FileNotFoundError:
-                return None
+            return None
         try:
             # LRU recency: a served entry is "used" now.  Best-effort —
             # a read-only store must still serve hits.
@@ -268,29 +282,9 @@ class ResultStore:
             pass
         return text
 
-    def _migrate_legacy(self, digest: str, path: Path) -> bool:
-        """Move a flat legacy entry into its shard (atomic rename)."""
-        legacy = self.legacy_path_for_digest(digest)
-        if not legacy.is_file():
-            # A concurrent migrator may have moved it into the shard
-            # between our sharded-path miss and this check — that is a
-            # success (the retried read finds it), not a store miss.
-            return path.is_file()
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(legacy, path)
-        except OSError:
-            # Lost a race with a concurrent migrator (or the file
-            # vanished); the retried read decides.
-            return legacy.is_file() or path.is_file()
-        self.migrations += 1
-        if _host.active is not None:
-            _host.active.metrics.counter("store.migrations").inc()
-        return True
-
     def read_digest(self, digest: str) -> dict[str, Any] | None:
-        """The raw persisted payload of one digest (current salt), or
-        ``None`` — the serve daemon's ``GET /cells/<digest>``."""
+        """The raw persisted payload of one digest, or ``None`` — the
+        serve daemon's ``GET /cells/<digest>``."""
         if not _is_digest_name(digest):
             return None
         try:
@@ -312,9 +306,11 @@ class ResultStore:
         return None
 
     def put(self, spec: CellSpec, outcome: CellOutcome) -> Path:
-        """Persist ``outcome`` under ``spec``'s digest (atomic)."""
+        """Persist ``outcome`` under ``spec``'s digest (atomic).
+
+        Raises :class:`StoreError` when the entry cannot be written; no
+        temp file is left behind."""
         path = self.path_for(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "format": _FORMAT_VERSION,
             # Human provenance — ignored on load, keyed by the filename.
@@ -327,20 +323,20 @@ class ResultStore:
         telemetry = _host.active
         begin = telemetry.now() if telemetry is not None else 0.0
         text = json.dumps(payload, indent=1) + "\n"
+        tracked = self._total_bytes is not None
+        replaced = (_size_of(path) or 0) if tracked else 0
         try:
-            replaced_bytes = path.stat().st_size
-        except OSError:
-            replaced_bytes = None
-        tmp = _scratch_path(path)
-        tmp.write_text(text)
-        os.replace(tmp, path)
+            _write_atomic(path, text)
+        except OSError as exc:
+            raise StoreError(
+                f"cannot write to the result store at {self.root}: {exc}"
+            ) from exc
         self.writes += 1
         self.bytes_written += len(text)
-        self._bump_index(
-            self.salt,
-            0 if replaced_bytes is not None else 1,
-            len(text) - (replaced_bytes or 0),
-        )
+        if tracked:
+            with self._total_lock:
+                if self._total_bytes is not None:
+                    self._total_bytes += len(text) - replaced
         if telemetry is not None:
             telemetry.metrics.counter("store.writes").inc()
             telemetry.metrics.counter("store.bytes_written").inc(len(text))
@@ -352,13 +348,8 @@ class ResultStore:
         return path
 
     # ------------------------------------------------------------------
-    # Sidecar counters and the cached entry index.
+    # Sidecar counters.
     # ------------------------------------------------------------------
-    def _bump_index(self, salt: str, entries: int, nbytes: int) -> None:
-        delta = self._index_delta.setdefault(salt, [0, 0])
-        delta[0] += entries
-        delta[1] += nbytes
-
     def flush_counters(self) -> dict[str, int]:
         """Merge this process's counter deltas into the on-disk sidecar
         and reset them; returns the merged lifetime totals.
@@ -368,27 +359,25 @@ class ResultStore:
         other's increments in a race, which is acceptable for advisory
         lifetime counters (cells themselves are never at risk)."""
         deltas = {key: getattr(self, key) for key in _COUNTER_KEYS}
-        data = self._read_sidecar()
-        totals = self._counters_from(data)
+        totals = self.persisted_counters()
         for key in _COUNTER_KEYS:
             totals[key] += deltas[key]
-        index = data.get(_INDEX_KEY)
-        if isinstance(index, dict):
-            index = self._fold_index(self._valid_index(index))
-        if any(deltas.values()) or (index is not None and self._index_delta):
-            payload: dict[str, Any] = dict(totals)
-            if index is not None:
-                payload[_INDEX_KEY] = index
-            self._write_sidecar(payload)
+        if any(deltas.values()):
+            self._write_sidecar(dict(totals))
         for key in _COUNTER_KEYS:
             setattr(self, key, 0)
-        self._index_delta.clear()
         return totals
 
     def persisted_counters(self) -> dict[str, int]:
         """The lifetime totals from the sidecar (zeros if absent or
         unreadable — counters are advisory, never load-bearing)."""
-        return self._counters_from(self._read_sidecar())
+        data = self._read_sidecar()
+        totals = dict.fromkeys(_COUNTER_KEYS, 0)
+        for key in _COUNTER_KEYS:
+            value = data.get(key, 0)
+            if isinstance(value, int) and value >= 0:
+                totals[key] = value
+        return totals
 
     def _read_sidecar(self) -> dict[str, Any]:
         try:
@@ -398,105 +387,17 @@ class ResultStore:
         return data if isinstance(data, dict) else {}
 
     def _write_sidecar(self, payload: dict[str, Any]) -> None:
-        path = self.root / _COUNTERS_FILE
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = _scratch_path(path)
-        tmp.write_text(json.dumps(payload, indent=1) + "\n")
-        os.replace(tmp, path)
-
-    @staticmethod
-    def _counters_from(data: dict[str, Any]) -> dict[str, int]:
-        totals = dict.fromkeys(_COUNTER_KEYS, 0)
-        for key in _COUNTER_KEYS:
-            value = data.get(key, 0)
-            if isinstance(value, int) and value >= 0:
-                totals[key] = value
-        return totals
-
-    @staticmethod
-    def _valid_index(raw: dict[str, Any]) -> dict[str, list[int]] | None:
-        """Sanity-check a persisted index; ``None`` rejects it (forcing
-        a rebuild scan) rather than trusting malformed data."""
-        index: dict[str, list[int]] = {}
-        for salt, entry in raw.items():
-            if not isinstance(entry, dict):
-                return None
-            entries, nbytes = entry.get("entries"), entry.get("bytes")
-            if not (isinstance(entries, int) and isinstance(nbytes, int)):
-                return None
-            if entries < 0 or nbytes < 0:
-                return None
-            index[str(salt)] = [entries, nbytes]
-        return index
-
-    def _fold_index(
-        self, index: dict[str, list[int]] | None
-    ) -> dict[str, dict[str, int]] | None:
-        """Fold the in-process deltas into a persisted index (clamping
-        at zero — deltas are advisory, the scan path is the truth)."""
-        if index is None:
-            return None
-        folded = {salt: list(pair) for salt, pair in index.items()}
-        for salt, (entries, nbytes) in self._index_delta.items():
-            pair = folded.setdefault(salt, [0, 0])
-            pair[0] += entries
-            pair[1] += nbytes
-        return {
-            salt: {"entries": max(0, pair[0]), "bytes": max(0, pair[1])}
-            for salt, pair in folded.items()
-            if pair[0] > 0 or pair[1] > 0
-        }
-
-    def persisted_index(self) -> dict[str, list[int]] | None:
-        """The cached per-salt ``[entries, bytes]`` index from the
-        sidecar, or ``None`` when absent/invalid (scan to rebuild)."""
-        raw = self._read_sidecar().get(_INDEX_KEY)
-        if not isinstance(raw, dict):
-            return None
-        return self._valid_index(raw)
-
-    def _scan_index(self) -> dict[str, list[int]]:
-        """Authoritative per-salt index from a shard-aware walk."""
-        index: dict[str, list[int]] = {}
-        for salt, path in self.iter_entries():
-            try:
-                size = path.stat().st_size
-            except OSError:
-                continue
-            pair = index.setdefault(salt, [0, 0])
-            pair[0] += 1
-            pair[1] += size
-        return index
-
-    def _index_totals(self) -> dict[str, dict[str, int]]:
-        """The per-salt index: the sidecar cache plus in-process deltas
-        when valid, else a rebuild scan (persisted for next time)."""
-        index = self.persisted_index()
-        if index is None:
-            index = self._scan_index()
-            # The scan already includes this process's unflushed puts;
-            # persisting it and keeping the deltas would double-count.
-            self._index_delta.clear()
-            snapshot = {
-                salt: {"entries": pair[0], "bytes": pair[1]}
-                for salt, pair in index.items()
-            }
-            if snapshot:
-                # An empty store stays sidecar-free: a read-only stats
-                # call must not materialize the root directory.
-                payload: dict[str, Any] = dict(
-                    self._counters_from(self._read_sidecar())
-                )
-                payload[_INDEX_KEY] = snapshot
-                self._write_sidecar(payload)
-            return snapshot
-        return self._fold_index(index) or {}
+        # Advisory like the read: a store that cannot take the sidecar
+        # (read-only, full) still serves its hits.
+        text = json.dumps(payload, indent=1) + "\n"
+        with contextlib.suppress(OSError):
+            _write_atomic(self.root / _COUNTERS_FILE, text)
 
     # ------------------------------------------------------------------
     def iter_entries(self) -> Iterator[tuple[str, Path]]:
-        """Every cached entry as ``(salt, path)``, via an explicit
-        two-level walk (salt dir -> shard dir -> entries, plus flat
-        legacy entries directly under the salt dir) — no ``rglob``."""
+        """Every cached entry as ``(model version, path)``, via an
+        explicit two-level walk (generation dir -> shard dir -> entries)
+        — no ``rglob``."""
         if not self.root.is_dir():
             return
         try:
@@ -504,57 +405,57 @@ class ResultStore:
         except OSError:
             return
         for salt_dir in salt_dirs:
-            salt = salt_dir.name
             try:
-                children = sorted(salt_dir.iterdir())
+                shards = sorted(p for p in salt_dir.iterdir() if p.is_dir())
             except OSError:
                 continue
-            for child in children:
-                if child.is_dir():
-                    try:
-                        grandchildren = sorted(child.iterdir())
-                    except OSError:
-                        continue
-                    for entry in grandchildren:
-                        if entry.suffix == ".json" and _is_digest_name(entry.stem):
-                            yield salt, entry
-                elif child.suffix == ".json" and _is_digest_name(child.stem):
-                    # Flat legacy entry, not yet lazily migrated.
-                    yield salt, child
+            for shard in shards:
+                try:
+                    children = sorted(shard.iterdir())
+                except OSError:
+                    continue
+                for entry in children:
+                    if entry.suffix == ".json" and _is_digest_name(entry.stem):
+                        yield salt_dir.name, entry
 
-    def _entries(self) -> list[Path]:
-        return [path for _, path in self.iter_entries()]
+    def _scan_index(self) -> dict[str, list[int]]:
+        """``[entries, bytes]`` per model version, from a directory walk."""
+        index: dict[str, list[int]] = {}
+        for salt, path in self.iter_entries():
+            size = _size_of(path)
+            if size is None:
+                continue
+            pair = index.setdefault(salt, [0, 0])
+            pair[0] += 1
+            pair[1] += size
+        return index
 
     def stats(self) -> StoreStats:
-        index = self._index_totals()
-        current = index.get(self.salt, {"entries": 0, "bytes": 0})
-        stale_salts = sorted(s for s in index if s != self.salt)
+        index = self._scan_index()
+        stale = [pair for salt, pair in index.items() if salt != self.salt]
         counters = self.persisted_counters()
         for key in _COUNTER_KEYS:
             counters[key] += getattr(self, key)
         return StoreStats(
             root=str(self.root),
             salt=self.salt,
-            entries=current["entries"],
-            bytes=sum(entry["bytes"] for entry in index.values()),
-            stale_entries=sum(index[s]["entries"] for s in stale_salts),
-            generations_orphaned=len(stale_salts),
-            hits=counters["hits"],
-            misses=counters["misses"],
-            writes=counters["writes"],
-            bytes_read=counters["bytes_read"],
-            bytes_written=counters["bytes_written"],
-            evictions=counters["evictions"],
-            migrations=counters["migrations"],
+            entries=index.get(self.salt, [0, 0])[0],
+            bytes=sum(pair[1] for pair in index.values()),
+            stale_entries=sum(pair[0] for pair in stale),
+            generations_orphaned=len(stale),
+            **counters,
         )
 
     # ------------------------------------------------------------------
     # Size-bounded LRU eviction.
     # ------------------------------------------------------------------
     def total_bytes(self) -> int:
-        """Approximate store size across all salts (cached index plus
-        in-process deltas; exact after any rebuild scan)."""
-        return sum(entry["bytes"] for entry in self._index_totals().values())
+        """Store size across all generations: this process's running
+        total, seeded by a scan at first use."""
+        with self._total_lock:
+            if self._total_bytes is None:
+                self._total_bytes = sum(pair[1] for pair in self._scan_index().values())
+            return self._total_bytes
 
     def _protected(self) -> frozenset[str]:
         if self.protect is None:
@@ -575,55 +476,55 @@ class ResultStore:
         *,
         protected: Collection[str] | Iterable[str] = (),
     ) -> tuple[int, int]:
-        """Evict least-recently-used entries until the store (all salts)
-        fits in ``max_bytes``.  Returns ``(evicted, freed_bytes)``.
+        """Evict least-recently-used entries until the store (all
+        generations) fits in ``max_bytes``.  Returns ``(evicted,
+        freed_bytes)``.
 
         Ordered by mtime ascending (hits refresh mtime, so this is LRU;
         stale-generation entries are naturally old and go first).
         Digests in ``protected`` — e.g. the serve daemon's in-flight
         set — are never removed, even if the bound cannot be met without
         them.  Vanished files (a concurrent evictor) are skipped, not
-        errors.
+        errors.  The walk resets :meth:`total_bytes`.
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         protected = frozenset(protected)
-        candidates: list[tuple[float, str, int, str, Path]] = []
+        candidates: list[tuple[float, str, int, Path]] = []
         total = 0
-        for salt, path in self.iter_entries():
+        for _, path in self.iter_entries():
             try:
                 st = path.stat()
             except OSError:
                 continue
             total += st.st_size
-            candidates.append((st.st_mtime, path.stem, st.st_size, salt, path))
+            candidates.append((st.st_mtime, path.stem, st.st_size, path))
         evicted = freed = 0
-        if total <= max_bytes:
-            return evicted, freed
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        for _, digest, size, salt, path in candidates:
-            if total - freed <= max_bytes:
-                break
-            if digest in protected:
-                continue
-            try:
-                path.unlink()
-            except FileNotFoundError:
-                continue
-            except OSError:
-                continue
-            evicted += 1
-            freed += size
-            self.evictions += 1
-            self._bump_index(salt, -1, -size)
-            if _host.active is not None:
-                _host.active.metrics.counter("store.evictions").inc()
+        if total > max_bytes:
+            candidates.sort(key=lambda c: (c[0], c[1]))
+            for _, digest, size, path in candidates:
+                if total - freed <= max_bytes:
+                    break
+                if digest in protected:
+                    continue
+                try:
+                    path.unlink()
+                except OSError:
+                    continue
+                evicted += 1
+                freed += size
+                self.evictions += 1
+                if _host.active is not None:
+                    _host.active.metrics.counter("store.evictions").inc()
+        with self._total_lock:
+            self._total_bytes = total - freed
         return evicted, freed
 
     def clear(self) -> int:
-        """Delete every cached entry (all salts).  Returns the count."""
-        removed = len(self._entries())
+        """Delete every cached entry (all generations).  Returns the
+        count."""
+        removed = sum(1 for _ in self.iter_entries())
         if self.root.is_dir():
             shutil.rmtree(self.root)
-        self._index_delta.clear()
+        self._total_bytes = None
         return removed

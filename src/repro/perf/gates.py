@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import statistics
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -189,9 +189,6 @@ class GateSpec:
     #: stash results in ``ctx.scratch``.
     setup: Callable[[GateContext], None] | None = None
     teardown: Callable[[GateContext], None] | None = None
-    #: Static facts about the run, kept in :attr:`GateResult.extra`
-    #: (workload description, ...).
-    describe: Callable[[GateContext], dict[str, Any]] | None = None
 
     @property
     def option_keys(self) -> frozenset[str]:
@@ -211,7 +208,6 @@ class GateResult:
     checks: list[CheckResult]
     informational: tuple[str, ...]  #: Metrics no check asserted.
     seconds: float  #: Wall time of the whole gate run.
-    extra: dict[str, Any] = field(default_factory=dict)
     error: str | None = None  #: Set when the workload itself blew up.
 
     @property
@@ -313,16 +309,15 @@ def run_gate(
     ctx = GateContext(options, spec.option_keys)
     telemetry: _host.HostTelemetry | None = None
     samples: list[dict[str, float]] = []
-    extra: dict[str, Any] = {}
     error: str | None = None
 
     t0 = _time.perf_counter()
     try:
         if capture_host:
             with _host.capturing() as telemetry:
-                _run_workload(spec, ctx, repeats, samples, extra)
+                _run_workload(spec, ctx, repeats, samples)
         else:
-            _run_workload(spec, ctx, repeats, samples, extra)
+            _run_workload(spec, ctx, repeats, samples)
     except Exception as exc:  # noqa: BLE001 - converted to a failing result
         error = f"{type(exc).__name__}: {exc}"
     seconds = _time.perf_counter() - t0
@@ -391,7 +386,6 @@ def run_gate(
             checks=checks,
             informational=tuple(sorted(informational)),
             seconds=seconds,
-            extra=extra,
             error=error,
         ),
         telemetry,
@@ -403,13 +397,10 @@ def _run_workload(
     ctx: GateContext,
     repeats: int,
     samples: list[dict[str, float]],
-    extra: dict[str, Any],
 ) -> None:
     if spec.setup is not None:
         spec.setup(ctx)
     try:
-        if spec.describe is not None:
-            extra.update(spec.describe(ctx))
         for _ in range(repeats):
             samples.append(dict(spec.measure(ctx)))
     finally:

@@ -96,7 +96,6 @@ def _setup_worktree(ctx: GateContext) -> None:
     worktree = Path(tempfile.mkdtemp(prefix="tracing-base-"))
     _run(["git", "worktree", "add", "--detach", str(worktree), base], cwd=ctx.repo)
     ctx.scratch["worktree"] = worktree
-    ctx.scratch["base_rev"] = _run(["git", "rev-parse", "HEAD"], cwd=worktree)
 
 
 def _teardown_worktree(ctx: GateContext) -> None:
@@ -221,10 +220,6 @@ register(
         teardown=_teardown_worktree,
         default_repeats=5,
         options=("tracing.base",),
-        describe=lambda ctx: {
-            "base_rev": ctx.scratch.get("base_rev", "unknown"),
-            "workload": "10 untraced pingpong cells, 25 iterations, best of 3",
-        },
         checks=(
             GateCheck(
                 name="structural",
@@ -314,10 +309,6 @@ register(
         ns="plan",
         measure=_plan_measure,
         default_repeats=5,
-        describe=lambda ctx: {
-            "workload": "repeated derived-type pack_bytes + Send over one "
-            "(datatype, count) pair, compiled per call vs cached",
-        },
         checks=(
             GateCheck(
                 name="plan-cache-speedup",
@@ -393,24 +384,12 @@ def _exec_measure(ctx: GateContext) -> dict[str, float]:
     }
 
 
-def _exec_describe(ctx: GateContext) -> dict[str, Any]:
-    config = _exec_config()
-    return {
-        "workload": f"{len(config.schemes)} schemes x {list(config.sizes)} B, "
-        f"{config.policy.iterations} iterations, flushed, materialized",
-        "platform": EXEC_PLATFORM,
-        "jobs": EXEC_JOBS,
-        "cpus": ctx.cpus,
-    }
-
-
 register(
     GateSpec(
         name="exec-speedup",
         title="exec layer: parallel and warm-cache wall-clock wins",
         ns="exec",
         measure=_exec_measure,
-        describe=_exec_describe,
         default_repeats=3,
         checks=(
             GateCheck(
@@ -555,10 +534,6 @@ register(
         ns="contention",
         measure=_contention_measure,
         default_repeats=5,
-        describe=lambda ctx: {
-            "workload": "64 golden cells (cold + warm store) and the "
-            "small-layout sweep with/without the flat topology"
-        },
         checks=(
             GateCheck(
                 name="goldens",
@@ -649,10 +624,6 @@ register(
         ns="shm",
         measure=_shm_measure,
         default_repeats=3,
-        describe=lambda ctx: {
-            "workload": "64 golden cells (cold + warm store) and an "
-            "all-on-node 64-rank halo with/without the shm transport"
-        },
         checks=(
             GateCheck(
                 name="goldens",
@@ -769,9 +740,6 @@ register(
         ns="kernels",
         measure=_kernel_measure,
         default_repeats=1,
-        describe=lambda ctx: {
-            "workload": f"{KERNEL_N_RUNS} contiguous runs (gather/scatter)"
-        },
         checks=(
             GateCheck(
                 name="tier-identity",
@@ -901,12 +869,6 @@ register(
         ns="serve",
         measure=_serve_measure,
         default_repeats=1,
-        describe=lambda ctx: {
-            "workload": f"{SERVE_CLIENTS} concurrent clients "
-            f"x {SERVE_ROUNDS} synchronized rounds of a "
-            "6-cell ideal-platform grid (hot round 0, perturbed eager "
-            "limits after)"
-        },
         checks=(
             GateCheck(
                 name="server-ok",

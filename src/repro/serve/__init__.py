@@ -6,9 +6,9 @@ content-addressed execution engine, deduplicates identical in-flight
 cell digests across concurrent clients (single execution, fan-out of
 awaiters), shards results on disk through
 :class:`~repro.exec.ResultStore`, and re-prices incrementally — a
-request carrying a perturbed platform fingerprint or a bumped model
-salt re-executes only the invalidated digests and reports
-``reused``/``recomputed``/``deduped`` counts per job.
+request carrying a perturbed platform fingerprint re-executes only the
+invalidated digests and reports ``reused``/``recomputed``/``deduped``
+counts per job.  The daemon prices one model version, its own.
 
 See ``docs/serving.md`` for the API schema and semantics.
 """

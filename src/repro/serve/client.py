@@ -23,7 +23,6 @@ from ..core.results import Measurement, SweepResult
 from ..core.runner import ProgressFn, sweep_metadata, sweep_specs
 from ..core.sweep import SweepConfig
 from ..core.layout import strided_for_bytes
-from ..machine.fingerprint import MODEL_VERSION
 from ..machine.platform import Platform
 from ..machine.registry import get_platform
 from .protocol import PlatformSpec, ProtocolError, SweepRequest, decode_outcome
@@ -93,9 +92,8 @@ class ServeClient:
     def stats(self) -> dict[str, Any]:
         return self.request_json("GET", "/stats")
 
-    def cell(self, digest: str, salt: str | None = None) -> dict[str, Any]:
-        path = f"/cells/{digest}" + (f"?salt={salt}" if salt else "")
-        return self.request_json("GET", path)
+    def cell(self, digest: str) -> dict[str, Any]:
+        return self.request_json("GET", f"/cells/{digest}")
 
     def healthy(self) -> bool:
         try:
@@ -134,9 +132,7 @@ class ServeClient:
 # ----------------------------------------------------------------------
 # The sweep-shaped front door.
 # ----------------------------------------------------------------------
-def _request_for(
-    platform: Platform, config: SweepConfig, salt: str
-) -> SweepRequest:
+def _request_for(platform: Platform, config: SweepConfig) -> SweepRequest:
     """Translate a local (platform, config) pair into the wire form,
     refusing anything the protocol cannot carry faithfully."""
     if config.layout_factory is not strided_for_bytes:
@@ -167,7 +163,6 @@ def _request_for(
         dismiss_sigma=config.policy.dismiss_sigma,
         materialize_limit=config.materialize_limit,
         concurrent_streams=config.concurrent_streams,
-        salt=salt,
     )
 
 
@@ -177,7 +172,6 @@ def submit_sweep(
     config: SweepConfig | None = None,
     *,
     progress: ProgressFn | None = None,
-    salt: str = MODEL_VERSION,
     timeout: float = 600.0,
 ) -> SweepResult:
     """Run one sweep on the daemon at ``url``; bit-identical to
@@ -189,7 +183,7 @@ def submit_sweep(
     if isinstance(platform, str):
         platform = get_platform(platform)
     config = config or SweepConfig()
-    request = _request_for(platform, config, salt)
+    request = _request_for(platform, config)
     specs = sweep_specs(platform, config)
     by_digest = {spec.digest: spec for spec in specs}
 
@@ -258,7 +252,7 @@ def submit_sweep(
     return result
 
 
-def remote_runner(url: str, *, salt: str = MODEL_VERSION, timeout: float = 600.0):
+def remote_runner(url: str, *, timeout: float = 600.0):
     """A drop-in ``run_sweep`` replacement bound to a daemon — what
     ``repro figure --submit URL`` passes to ``generate_figure``."""
 
@@ -269,8 +263,6 @@ def remote_runner(url: str, *, salt: str = MODEL_VERSION, timeout: float = 600.0
         progress: ProgressFn | None = None,
         executor: Any = None,  # accepted for signature parity; unused remotely
     ) -> SweepResult:
-        return submit_sweep(
-            url, platform, config, progress=progress, salt=salt, timeout=timeout
-        )
+        return submit_sweep(url, platform, config, progress=progress, timeout=timeout)
 
     return runner

@@ -16,11 +16,14 @@ does, which is what makes a served sweep bit-identical to a serial
 local run.
 
 Incremental re-pricing falls out of the addressing scheme: a request
-may override a platform's eager limit (``platforms[].eager_limit``) or
-carry a non-default model ``salt`` — either changes the affected cell
-digests (the platform fingerprint folds tuning in; the salt selects the
-store generation), so only the invalidated cells miss the store and
+may override a platform's eager limit (``platforms[].eager_limit``),
+which changes the affected cell digests (the platform fingerprint folds
+tuning in), so only the invalidated cells miss the store and
 re-execute.  Untouched digests are served as ``reused``.
+
+A request's ``salt`` is the model version the client expects.  The
+daemon prices one model, its own ``MODEL_VERSION``; any other salt is
+refused with 409 before anything is compiled or stored.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ __all__ = [
     "PlatformSpec",
     "SweepRequest",
     "CompiledSweep",
-    "check_salt",
     "encode_cell",
     "decode_outcome",
 ]
@@ -64,18 +66,6 @@ class ProtocolError(Exception):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ProtocolError(message)
-
-
-def check_salt(salt: Any) -> str:
-    """``salt`` if it can name a store generation directory: a non-empty
-    string with no ``/`` or ``.``, so ``<root>/<salt>`` never leaves the
-    store root.  The one rule for a ``POST /sweep`` body and a
-    ``GET /cells`` query; raises :class:`ProtocolError` (400)."""
-    _require(
-        isinstance(salt, str) and bool(salt) and "/" not in salt and "." not in salt,
-        "salt must be a non-empty path-safe string",
-    )
-    return salt
 
 
 @dataclass(frozen=True)
@@ -155,8 +145,9 @@ class SweepRequest:
     @classmethod
     def from_json(cls, data: Any) -> "SweepRequest":
         """Validate a decoded JSON body.  Raises :class:`ProtocolError`
-        (status 400) on anything malformed — the daemon never lets a
-        bad request reach the executor."""
+        (status 400) on anything malformed, and 409 when ``salt`` names a
+        model other than this code's ``MODEL_VERSION`` — the daemon never
+        lets a bad request reach the executor."""
         _require(isinstance(data, dict), "request body must be a JSON object")
         allowed = {
             "platforms",
@@ -248,7 +239,13 @@ class SweepRequest:
             and concurrent_streams >= 1,
             "concurrent_streams must be a positive integer",
         )
-        salt = check_salt(data.get("salt", MODEL_VERSION))
+        salt = data.get("salt", MODEL_VERSION)
+        if salt != MODEL_VERSION:
+            raise ProtocolError(
+                f"this daemon prices model {MODEL_VERSION}; the request "
+                f"expects {salt!r}",
+                status=409,
+            )
         tags = data.get("tags", {})
         _require(isinstance(tags, dict), "tags must be an object")
 

@@ -10,7 +10,7 @@ POST    ``/sweep``                  submit a sweep; ``?wait=1`` blocks
                                     until done and returns the full cells
 GET     ``/jobs/<id>``              job snapshot (counts + cells)
 GET     ``/jobs/<id>/events``       NDJSON event stream until terminal
-GET     ``/cells/<digest>``         one persisted cell (``?salt=`` opt.)
+GET     ``/cells/<digest>``         one persisted cell
 GET     ``/stats``                  service + store statistics
 GET     ``/healthz``                liveness probe
 ======  ==========================  =======================================
@@ -24,6 +24,7 @@ instead.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import threading
 from time import perf_counter
@@ -31,7 +32,7 @@ from typing import Any
 from urllib.parse import parse_qs, urlsplit
 
 from ..obs import host as _host
-from .protocol import ProtocolError, SweepRequest, check_salt
+from .protocol import ProtocolError, SweepRequest
 from .service import SweepService
 
 __all__ = ["ReproServer", "ServerThread"]
@@ -45,6 +46,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    409: "Conflict",
     413: "Payload Too Large",
     500: "Internal Server Error",
     502: "Bad Gateway",
@@ -142,6 +144,12 @@ class ReproServer:
                 _host.active.metrics.histogram(
                     "serve.request_seconds", "latency"
                 ).observe(elapsed)
+            # Shut the write side down before closing: worker processes
+            # forked while this connection was open hold a copy of its
+            # socket, so a plain close sends no FIN and an NDJSON reader
+            # would wait for EOF forever.
+            with contextlib.suppress(OSError):
+                writer.write_eof()
             try:
                 writer.close()
                 await writer.wait_closed()
@@ -198,10 +206,7 @@ class ReproServer:
         elif path.startswith("/cells/"):
             self._require_get(method, path)
             digest = path[len("/cells/") :]
-            salt = query.get("salt")
-            if salt is not None:
-                check_salt(salt)
-            cell = self.service.read_cell(digest, salt=salt)
+            cell = self.service.read_cell(digest)
             if cell is None:
                 raise _HttpError(404, f"no cached cell {digest!r}")
             await self._send_json(writer, 200, cell)

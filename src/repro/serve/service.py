@@ -1,8 +1,8 @@
 """The sweep service: classify, dedup, execute, fan out.
 
 One :class:`SweepService` owns the daemon's state — job registry,
-in-flight table, per-salt result stores, and service metrics — and runs
-every accepted request through the same pipeline:
+in-flight table, the result store of the model it prices, and service
+metrics — and runs every accepted request through the same pipeline:
 
 1. **compile** the request into unique cell digests (protocol layer);
 2. **classify** each digest: ``reused`` (result-store hit), ``deduped``
@@ -53,13 +53,15 @@ class SweepService:
     Parameters
     ----------
     store_root:
-        Result-store directory (default: the shared cache dir).
+        Result-store directory (default: the shared cache dir).  The
+        daemon reads and writes the generation of its own
+        ``MODEL_VERSION`` there.
     cache:
         ``False`` disables the store entirely: every cell is executed
         (in-flight dedup still collapses concurrent duplicates).
-    jobs, chunk_size:
-        Executor settings: worker processes (one pool for the daemon's
-        lifetime, shared by every job) and cells per task.
+    jobs:
+        Worker processes: one pool for the daemon's lifetime, shared by
+        every job.
     max_store_bytes:
         Optional store size bound; eviction never touches in-flight
         digests (the store's ``protect`` hook reads the table).
@@ -76,7 +78,6 @@ class SweepService:
         store_root: str | Path | None = None,
         cache: bool = True,
         jobs: int = 1,
-        chunk_size: int | None = None,
         max_store_bytes: int | None = None,
         max_concurrent_jobs: int = 4,
         executor_factory: Callable[[ResultStore | None], Executor] | None = None,
@@ -90,40 +91,26 @@ class SweepService:
         #: Always-on service metrics (request counters, job latency,
         #: dedup tallies) — independent of host telemetry.
         self.metrics = MetricsRegistry()
-        self._store_root = store_root
-        self._cache = cache
+        #: The one result store (``None`` under ``cache=False``).
+        self.store = (
+            ResultStore(
+                store_root, max_bytes=max_store_bytes, protect=self.inflight.snapshot
+            )
+            if cache
+            else None
+        )
         self._jobs = jobs
-        self._chunk_size = chunk_size
         self._pool = WorkerPool(jobs) if jobs > 1 else None
-        self._max_store_bytes = max_store_bytes
         self._executor_factory = executor_factory
-        self._stores: dict[str, ResultStore] = {}
         self._semaphore = asyncio.Semaphore(max_concurrent_jobs)
         self._tasks: set[asyncio.Task] = set()
         self.started = perf_counter()
 
     # ------------------------------------------------------------------
-    def store_for(self, salt: str) -> ResultStore | None:
-        """The (cached) result store of one model-version salt."""
-        if not self._cache:
-            return None
-        store = self._stores.get(salt)
-        if store is None:
-            store = ResultStore(
-                self._store_root,
-                salt=salt,
-                max_bytes=self._max_store_bytes,
-                protect=self.inflight.snapshot,
-            )
-            self._stores[salt] = store
-        return store
-
     def _executor(self, store: ResultStore | None) -> Executor:
         if self._executor_factory is not None:
             return self._executor_factory(store)
-        return Executor(
-            jobs=self._jobs, cache=store, chunk_size=self._chunk_size, pool=self._pool
-        )
+        return Executor(jobs=self._jobs, cache=store, pool=self._pool)
 
     # ------------------------------------------------------------------
     def submit(self, request: SweepRequest) -> Job:
@@ -164,19 +151,18 @@ class SweepService:
                 _host.active.metrics.gauge("serve.jobs_active").add(1)
             job.status = RUNNING
             job.emit({"event": "job", "job": job.id, "status": job.status})
-            store = self.store_for(job.request.salt)
             try:
                 owned: list[CellSpec] = []
                 joins: dict[str, asyncio.Future] = {}
-                self._classify(job, unique, store, loop, owned, joins)
+                self._classify(job, unique, loop, owned, joins)
                 if owned:
-                    await self._execute_owned(job, owned, store, loop)
+                    await self._execute_owned(job, owned, loop)
                 for digest, future in joins.items():
                     try:
                         outcome = await future
                     except Exception:
                         # The owner died; this job recovers on its own.
-                        await self._reclaim(job, unique[digest], store, loop)
+                        await self._reclaim(job, unique[digest], loop)
                     else:
                         self._record(job, unique[digest], outcome, "deduped")
                 job.finish()
@@ -203,13 +189,13 @@ class SweepService:
         self,
         job: Job,
         unique: dict[str, CellSpec],
-        store: ResultStore | None,
         loop: asyncio.AbstractEventLoop,
         owned: list[CellSpec],
         joins: dict[str, asyncio.Future],
     ) -> None:
         """Partition the grid: store hits recorded immediately, live
         flights joined, the rest claimed for execution."""
+        store = self.store
         for digest, spec in unique.items():
             existing = self.inflight.peek(digest)
             if existing is not None:
@@ -231,12 +217,11 @@ class SweepService:
         self,
         job: Job,
         owned: list[CellSpec],
-        store: ResultStore | None,
         loop: asyncio.AbstractEventLoop,
     ) -> None:
         """Run this job's claimed cells on a worker thread, resolving
         each flight (and recording the cell) the moment it lands."""
-        executor = self._executor(store)
+        executor = self._executor(self.store)
 
         def on_outcome(index: int, outcome: CellOutcome, cached: bool) -> None:
             # Worker-thread context: hop to the loop before touching
@@ -268,12 +253,11 @@ class SweepService:
         self,
         job: Job,
         spec: CellSpec,
-        store: ResultStore | None,
         loop: asyncio.AbstractEventLoop,
     ) -> None:
         """Joiner recovery after an owner failure: take the store hit if
         the owner got that far, else execute the cell ourselves."""
-        hit = store.get(spec) if store is not None else None
+        hit = self.store.get(spec) if self.store is not None else None
         if hit is not None:
             self._record(job, spec, hit, "reused")
             return
@@ -284,43 +268,36 @@ class SweepService:
             outcome = await future
             self._record(job, spec, outcome, "deduped")
             return
-        await self._execute_owned(job, [spec], store, loop)
+        await self._execute_owned(job, [spec], loop)
 
     def _record(self, job: Job, spec: CellSpec, outcome: CellOutcome, source: str) -> None:
         job.record_cell(encode_cell(spec, outcome, source=source))
         self.metrics.counter(f"serve.cells_{source}").inc()
 
     # ------------------------------------------------------------------
-    def read_cell(self, digest: str, salt: str | None = None) -> dict[str, Any] | None:
-        """The persisted payload behind ``GET /cells/<digest>``.  A read
-        never adds a store to the table: a salt no job has written reads
-        through a throwaway store (``salt`` is already path-checked)."""
-        if not self._cache:
-            return None
-        salt = salt if salt is not None else _default_salt()
-        store = self._stores.get(salt)
-        if store is None:
-            store = ResultStore(self._store_root, salt=salt)
-        return store.read_digest(digest)
+    def read_cell(self, digest: str) -> dict[str, Any] | None:
+        """The persisted payload behind ``GET /cells/<digest>``."""
+        return self.store.read_digest(digest) if self.store is not None else None
 
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` body: job counts, dedup tallies, per-salt
-        store stats, and the raw metrics snapshot."""
+        """The ``GET /stats`` body: job counts, dedup tallies, the
+        store's stats (``None`` without a store), and the raw metrics
+        snapshot."""
         reused = self.metrics.counter_value("serve.cells_reused")
         recomputed = self.metrics.counter_value("serve.cells_recomputed")
         deduped = self.metrics.counter_value("serve.cells_deduped")
         served = reused + recomputed + deduped
-        stores: dict[str, Any] = {}
-        for salt, store in sorted(self._stores.items()):
-            s = store.stats()
-            stores[salt] = {
+        store = None
+        if self.store is not None:
+            s = self.store.stats()
+            store = {
+                "salt": s.salt,
                 "entries": s.entries,
                 "bytes": s.bytes,
                 "hits": s.hits,
                 "misses": s.misses,
                 "writes": s.writes,
                 "evictions": s.evictions,
-                "migrations": s.migrations,
             }
         return {
             "uptime_seconds": perf_counter() - self.started,
@@ -333,7 +310,7 @@ class SweepService:
             },
             "dedup_hit_rate": ((reused + deduped) / served) if served else None,
             "inflight": len(self.inflight),
-            "stores": stores,
+            "store": store,
             "metrics": self.metrics.snapshot(),
         }
 
@@ -346,9 +323,3 @@ class SweepService:
         """Join the worker pool (shutdown path, after :meth:`drain`)."""
         if self._pool is not None:
             self._pool.close()
-
-
-def _default_salt() -> str:
-    from ..machine.fingerprint import MODEL_VERSION
-
-    return MODEL_VERSION

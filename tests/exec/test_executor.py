@@ -113,16 +113,6 @@ class TestSerialParallelEquivalence:
         assert cold.to_dict() == serial.to_dict()
         assert warm.to_dict() == serial.to_dict()
 
-    def test_metrics_merge_is_mode_independent(self, ideal):
-        _, specs = golden_batch()
-        sample = specs[:6]
-        serial, parallel = Executor(jobs=1), Executor(jobs=3)
-        serial.run_batch(sample)
-        parallel.run_batch(sample)
-        # The aggregate is commutative, so completion order is invisible.
-        for name in ("p2p.eager_sends", "p2p.rendezvous_sends", "pack.bytes"):
-            assert serial.metrics.counter_value(name) == parallel.metrics.counter_value(name)
-
     def test_on_result_fires_for_every_cell(self, ideal):
         _, specs = golden_batch()
         sample = specs[:5]
@@ -147,14 +137,16 @@ class TestSerialParallelEquivalence:
 
 
 class TestCacheSemantics:
-    def test_salt_bump_forces_reexecution(self, ideal, tmp_path):
+    def test_salt_bump_forces_reexecution(self, ideal, tmp_path, monkeypatch):
         _, specs = golden_batch()
         spec = specs[0]
-        old = Executor(jobs=1, cache=ResultStore(tmp_path, salt="v1"))
+        monkeypatch.setattr("repro.exec.store.MODEL_VERSION", "v1")
+        old = Executor(jobs=1, cache=ResultStore(tmp_path))
         old.run_cell(spec)
         assert old.cells_executed == 1
         # Same store root, bumped model salt: the hit disappears.
-        new = Executor(jobs=1, cache=ResultStore(tmp_path, salt="v2"))
+        monkeypatch.setattr("repro.exec.store.MODEL_VERSION", "v2")
+        new = Executor(jobs=1, cache=ResultStore(tmp_path))
         new.run_cell(spec)
         assert new.cells_executed == 1 and new.cells_cached == 0
 

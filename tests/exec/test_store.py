@@ -1,12 +1,27 @@
-"""The content-addressed result store: roundtrips, salt invalidation,
-corruption tolerance, stats, and clearing."""
+"""The content-addressed result store: roundtrips, model-version
+invalidation, corruption tolerance, write failures, stats, and
+clearing."""
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from repro.core import TimingPolicy, strided_for_bytes
-from repro.exec import CellSpec, ResultStore, default_cache_dir, execute_spec
+from repro.exec import (
+    CellSpec,
+    Executor,
+    ResultStore,
+    StoreError,
+    default_cache_dir,
+    execute_spec,
+)
+from repro.machine.fingerprint import MODEL_VERSION
 
 
 def small_spec(platform) -> CellSpec:
@@ -38,8 +53,6 @@ def test_roundtrip_is_bit_exact(tmp_path, ideal):
     assert loaded.virtual_time.hex() == outcome.virtual_time.hex()
     assert loaded.events == outcome.events
     assert loaded.verified == outcome.verified
-    # The metrics registry never persists: hits come back without one.
-    assert loaded.metrics is None
     # And the reconstituted public result matches the fresh one exactly.
     assert spec.to_result(loaded, cached=True).stats == spec.to_result(outcome).stats
 
@@ -48,14 +61,17 @@ def test_miss_returns_none(tmp_path, ideal):
     assert ResultStore(tmp_path).get(small_spec(ideal)) is None
 
 
-def test_salt_bump_orphans_old_entries(tmp_path, ideal):
+def test_salt_bump_orphans_old_entries(tmp_path, ideal, monkeypatch):
     spec = small_spec(ideal)
     outcome = execute_spec(spec)
-    v1 = ResultStore(tmp_path, salt="v1")
+    monkeypatch.setattr("repro.exec.store.MODEL_VERSION", "v1")
+    v1 = ResultStore(tmp_path)
     v1.put(spec, outcome)
     assert v1.get(spec) is not None
     # A pricing-model bump: same digest, new salt -> forced re-run.
-    v2 = ResultStore(tmp_path, salt="v2")
+    monkeypatch.setattr("repro.exec.store.MODEL_VERSION", "v2")
+    v2 = ResultStore(tmp_path)
+    assert v2.salt == "v2"
     assert v2.get(spec) is None
     stats = v2.stats()
     assert stats.entries == 0 and stats.stale_entries == 1
@@ -164,7 +180,6 @@ def test_corrupt_sidecar_reads_as_zero(tmp_path):
         "bytes_read": 0,
         "bytes_written": 0,
         "evictions": 0,
-        "migrations": 0,
     }
     # Negative / non-int values are ignored, not trusted.
     (tmp_path / "counters.json").write_text('{"hits": -3, "writes": "many"}')
@@ -185,3 +200,67 @@ def test_entry_files_carry_human_provenance(tmp_path, ideal):
     store.put(spec, execute_spec(spec))
     data = json.loads(store.path_for(spec).read_text())
     assert "copying" in data["cell"] and "ideal" in data["cell"]
+
+
+def test_a_flat_entry_is_neither_served_nor_counted(tmp_path, ideal):
+    """One layout: an entry directly under the generation directory
+    (``<root>/<MODEL_VERSION>/<digest>.json``) is not a cell."""
+    spec = small_spec(ideal)
+    store = ResultStore(tmp_path)
+    flat = tmp_path / MODEL_VERSION / f"{spec.digest}.json"
+    os.replace(store.put(spec, execute_spec(spec)), flat)
+    fresh = ResultStore(tmp_path)
+    assert fresh.get(spec) is None
+    assert fresh.read_digest(spec.digest) is None
+    stats = fresh.stats()
+    assert (stats.entries, stats.bytes, stats.stale_entries) == (0, 0, 0)
+    assert flat.is_file() and not fresh.path_for(spec).exists()
+    # cache clear still reaps it with the rest of the root.
+    fresh.clear()
+    assert not flat.exists()
+
+
+def test_an_all_hit_batch_survives_an_unwritable_sidecar(tmp_path, ideal, skx, monkeypatch):
+    """The lifetime counters are advisory: when ``counters.json`` cannot
+    be written, a batch of hits still returns its results."""
+    specs = [small_spec(ideal), small_spec(skx)]
+    specs.append(replace(specs[0], scheme="reference"))
+    writer = ResultStore(tmp_path)
+    for spec in specs:
+        writer.put(spec, execute_spec(spec))
+
+    def read_only(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", str(dst))
+
+    monkeypatch.setattr(os, "replace", read_only)
+    executor = Executor(jobs=1, cache=ResultStore(tmp_path))
+    results = executor.execute_batch(specs)
+    assert [cached for _, cached in results] == [True, True, True]
+    assert executor.cells_cached == 3 and executor.cells_executed == 0
+    assert not list(tmp_path.glob("*.tmp.*"))
+
+
+def test_a_failed_put_raises_store_error_and_leaves_no_temp_file(tmp_path, ideal, skx, monkeypatch):
+    """A disk that fills mid-write: the put raises a typed error naming
+    the root and the cause, its scratch file is gone, and the cells
+    written before it stay readable."""
+    store = ResultStore(tmp_path)
+    done, failing = small_spec(ideal), small_spec(skx)
+    store.put(done, execute_spec(done))
+    write_text = Path.write_text
+
+    def full_disk(self, text, *args, **kwargs):
+        write_text(self, text[:10], *args, **kwargs)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full_disk)
+    with pytest.raises(StoreError) as info:
+        store.put(failing, execute_spec(failing))
+    monkeypatch.undo()
+    assert isinstance(info.value, OSError)
+    assert str(tmp_path) in str(info.value)
+    assert "No space left on device" in str(info.value)
+    assert not list(tmp_path.rglob("*.tmp.*"))
+    assert store.get(failing) is None
+    assert store.get(done) is not None
+    assert store.stats().entries == 1

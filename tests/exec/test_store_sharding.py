@@ -1,11 +1,12 @@
-"""The sharded result store: fan-out layout, lazy legacy migration,
-atomic puts under thread contention, LRU eviction (with in-flight
-protection), and index/scan consistency."""
+"""The sharded result store: fan-out layout, atomic puts under thread
+contention, LRU eviction (with in-flight protection), and sizes that
+always agree with a directory scan."""
 
 from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 
 import pytest
@@ -14,6 +15,7 @@ from repro.cli import main
 from repro.core import TimingPolicy, strided_for_bytes
 from repro.exec import CellSpec, ResultStore, execute_spec
 from repro.machine import get_platform
+from repro.machine.fingerprint import MODEL_VERSION
 
 try:
     from hypothesis import given, settings
@@ -45,70 +47,16 @@ def outcome_of(size: int):
 
 
 # ----------------------------------------------------------------------
-# Shard layout and legacy migration
+# Shard layout
 # ----------------------------------------------------------------------
 def test_put_lands_in_the_two_hex_shard(tmp_path):
-    store = ResultStore(tmp_path, salt="v1")
+    store = ResultStore(tmp_path)
     spec = spec_of(2048)
     path = store.put(spec, outcome_of(2048))
-    assert path == tmp_path / "v1" / spec.digest[:2] / f"{spec.digest}.json"
+    assert path == tmp_path / MODEL_VERSION / spec.digest[:2] / f"{spec.digest}.json"
     assert path.is_file()
     # No temp files survive the atomic rename.
     assert not list(path.parent.glob("*.tmp.*"))
-
-
-def test_legacy_flat_entry_migrates_on_first_read(tmp_path):
-    writer = ResultStore(tmp_path, salt="v1")
-    spec = spec_of(2048)
-    sharded = writer.put(spec, outcome_of(2048))
-    # Recreate the pre-fan-out layout: the entry flat under the salt dir.
-    legacy = writer.legacy_path_for_digest(spec.digest)
-    os.replace(sharded, legacy)
-
-    reader = ResultStore(tmp_path, salt="v1")
-    loaded = reader.get(spec)
-    assert loaded is not None
-    assert loaded.times == outcome_of(2048).times
-    assert reader.migrations == 1
-    assert sharded.is_file() and not legacy.exists()
-    # The lifetime counter survives a flush into the sidecar.
-    reader.flush_counters()
-    assert ResultStore(tmp_path, salt="v1").persisted_counters()["migrations"] == 1
-
-
-def test_legacy_entries_count_in_stats_before_migration(tmp_path):
-    store = ResultStore(tmp_path, salt="v1")
-    spec = spec_of(2048)
-    sharded = store.put(spec, outcome_of(2048))
-    os.replace(sharded, store.legacy_path_for_digest(spec.digest))
-    fresh = ResultStore(tmp_path, salt="v1")
-    assert fresh.stats().entries == 1
-
-
-def test_concurrent_migration_race_is_harmless(tmp_path):
-    spec = spec_of(2048)
-    writer = ResultStore(tmp_path, salt="v1")
-    os.replace(
-        writer.put(spec, outcome_of(2048)),
-        writer.legacy_path_for_digest(spec.digest),
-    )
-
-    stores = [ResultStore(tmp_path, salt="v1") for _ in range(8)]
-    barrier = threading.Barrier(len(stores))
-    results = [None] * len(stores)
-
-    def read(i: int) -> None:
-        barrier.wait()
-        results[i] = stores[i].get(spec)
-
-    threads = [threading.Thread(target=read, args=(i,)) for i in range(len(stores))]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(r is not None for r in results), "a racer lost the entry"
-    assert all(r.times == outcome_of(2048).times for r in results)
-    assert writer.path_for(spec).is_file()
 
 
 # ----------------------------------------------------------------------
@@ -159,6 +107,36 @@ def test_contended_puts_of_distinct_digests_all_land(tmp_path):
     assert 1 <= merged.persisted_counters()["writes"] <= len(SIZES)
     for size in SIZES:
         assert merged.get(spec_of(size)) is not None
+
+
+def test_a_shared_store_keeps_its_byte_total_under_contended_puts(tmp_path):
+    """The daemon's jobs put into one store from several threads; no put
+    may lose its share of the running byte total."""
+    sizes = [1024 * k for k in range(1, 13)]  # more threads than cores
+    outcomes = {size: outcome_of(size) for size in sizes}
+    store = ResultStore(tmp_path)
+    assert store.total_bytes() == 0
+    barrier = threading.Barrier(len(sizes))
+
+    def put(size: int) -> None:
+        barrier.wait(timeout=30)
+        for _ in range(20):
+            store.put(spec_of(size), outcomes[size])
+
+    threads = [threading.Thread(target=put, args=(size,)) for size in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    entries, nbytes = ResultStore(tmp_path)._scan_index()[store.salt]
+    assert entries == len(sizes)
+    assert store.total_bytes() == nbytes
 
 
 # ----------------------------------------------------------------------
@@ -246,40 +224,37 @@ def test_cache_clear_evict_to_cli(tmp_path, capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Index / scan consistency
+# Sizes agree with a scan
 # ----------------------------------------------------------------------
-def test_cached_index_agrees_with_a_fresh_scan(tmp_path):
-    store = ResultStore(tmp_path)
-    for size in SIZES[:4]:
-        store.put(spec_of(size), outcome_of(size))
-    store.stats()  # first stats call scans and persists the index
-    cached = ResultStore(tmp_path).persisted_index()
-    assert cached is not None
-    scanned = ResultStore(tmp_path)._scan_index()
-    assert cached == scanned
-    # Evictions keep the cached index honest too.
-    store.evict_to(0)
-    store.flush_counters()
-    assert ResultStore(tmp_path).persisted_index() == {}
-
-
 if HAVE_HYPOTHESIS:
 
     @settings(max_examples=25, deadline=None)
     @given(
-        puts=st.lists(st.sampled_from(SIZES), min_size=1, max_size=12),
-        reads=st.lists(st.sampled_from(SIZES), max_size=6),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("put"), st.sampled_from(SIZES)),
+                st.tuples(st.just("get"), st.sampled_from(SIZES)),
+                st.tuples(st.just("evict_to"), st.integers(0, 4 * 1024)),
+            ),
+            min_size=1,
+            max_size=16,
+        ),
     )
-    def test_entry_count_matches_scan_after_any_sequence(tmp_path_factory, puts, reads):
+    def test_entry_count_matches_scan_after_any_sequence(tmp_path_factory, ops):
         tmp = tmp_path_factory.mktemp("prop-store")
         store = ResultStore(tmp)
-        for size in puts:
-            store.put(spec_of(size), outcome_of(size))
-        for size in reads:
-            store.get(spec_of(size))
-        unique = len(set(puts))
-        assert store.stats().entries == unique
-        assert len(list(store.iter_entries())) == unique
-        store.flush_counters()
-        totals = ResultStore(tmp)._index_totals()
-        assert totals[store.salt]["entries"] == unique
+        # Seed the running total first, so that every op below moves it.
+        assert store.total_bytes() == 0
+        for op, arg in ops:
+            if op == "put":
+                store.put(spec_of(arg), outcome_of(arg))
+            elif op == "get":
+                store.get(spec_of(arg))
+            else:
+                store.evict_to(arg)
+        scan = ResultStore(tmp)._scan_index()
+        entries, nbytes = scan.get(store.salt, [0, 0])
+        stats = store.stats()
+        assert (stats.entries, stats.bytes) == (entries, nbytes)
+        assert store.total_bytes() == nbytes
+        assert len(list(store.iter_entries())) == entries

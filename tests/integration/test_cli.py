@@ -148,12 +148,12 @@ def test_jobs_defaults_to_one_worker_per_cpu():
     ["sweep", "--jobs", "0"],
     ["sweep", "--jobs", "-2"],
     ["sweep", "--jobs", "two"],
-    ["sweep", "--chunk-size", "0"],
+    ["sweep", "--max-bytes", "0"],
     ["report", "--jobs", "0"],
-    ["experiment", "halo", "--chunk-size", "-1"],
+    ["experiment", "halo", "--jobs", "-1"],
     ["validate", "--jobs", "0"],
     ["serve", "--jobs", "0"],
-    ["serve", "--chunk-size", "0"],
+    ["serve", "--max-jobs", "0"],
     # A halo ring needs two ranks, and a node at least one.
     ["experiment", "halo", "--ranks", "0"],
     ["experiment", "halo", "--ranks", "-4"],
@@ -258,6 +258,40 @@ def test_closed_stdout_pipe_exits_1_without_traceback(unbuffered):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _one_error_line(argv: list[str], tmp_path: Path, cache_dir: Path) -> str:
+    """Run the CLI in a fresh interpreter; assert exit 1 and a stderr of
+    exactly one ``error:`` line, and return that line."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(cache_dir))
+    proc = subprocess.run([sys.executable, "-m", "repro", *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+    return lines[0]
+
+
+def test_an_unwritable_store_is_one_error_line(tmp_path):
+    """A store root under a regular file cannot hold cells: the first
+    put fails, and the command says so once and points at --no-cache."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    line = _one_error_line(["sweep", "--quick", "--platform", "ideal", "--jobs", "1"],
+                           tmp_path, blocker / "store")
+    assert str(blocker / "store") in line and "--no-cache" in line
+
+
+def test_an_unreachable_daemon_is_one_error_line(tmp_path):
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    line = _one_error_line(["sweep", "--quick", "--submit", f"http://127.0.0.1:{port}"],
+                           tmp_path, tmp_path / "store")
+    assert f"cannot reach daemon at 127.0.0.1:{port}" in line
 
 
 def test_halo_with_jobs_matches_serial(capsys):

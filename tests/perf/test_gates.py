@@ -21,7 +21,7 @@ from repro.perf import (
 )
 
 
-def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None, describe=None):
+def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None):
     return GateSpec(
         name="synthetic",
         title="a synthetic gate",
@@ -31,7 +31,6 @@ def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None, describe=N
         default_repeats=repeats,
         setup=setup,
         teardown=teardown,
-        describe=describe,
     )
 
 
@@ -187,17 +186,6 @@ class TestEngine:
             spec_of(measure, [check()], teardown=lambda ctx: trail.append("td"))
         )
         assert trail == ["td"] and result.error is not None
-
-    def test_describe_lands_in_extra(self):
-        result, _ = run_gate(
-            spec_of(
-                lambda ctx: {"speed": 9.0},
-                [check()],
-                describe=lambda ctx: {"workload": "synthetic", "cpus": ctx.cpus},
-            )
-        )
-        assert result.extra["workload"] == "synthetic"
-        assert result.extra["cpus"] >= 1
 
     def test_telemetry_snapshot_embedded_and_scoped(self):
         assert host_mod.active is None

@@ -82,11 +82,23 @@ def test_eager_limit_override_perturbs_the_fingerprint(ideal):
 # SweepRequest
 # ----------------------------------------------------------------------
 def test_request_roundtrips_through_json():
-    request = SweepRequest.from_json(small_request(salt="v9", tags={"ci": True}))
+    request = SweepRequest.from_json(small_request(tags={"ci": True}))
     again = SweepRequest.from_json(request.to_json())
     assert again == request
-    assert again.salt == "v9"
+    assert again.salt == MODEL_VERSION
     assert again.policy == TimingPolicy(iterations=2, flush=False)
+
+
+def test_a_foreign_model_version_is_a_409():
+    """The daemon prices one model: a request expecting another is a
+    conflict, refused before anything compiles."""
+    with pytest.raises(ProtocolError) as info:
+        SweepRequest.from_json(small_request(salt="v2"))
+    assert info.value.status == 409
+    assert str(info.value) == (
+        f"this daemon prices model {MODEL_VERSION}; the request expects 'v2'"
+    )
+    assert SweepRequest.from_json(small_request(salt=MODEL_VERSION)).salt == MODEL_VERSION
 
 
 def test_request_defaults_match_local_sweeps():

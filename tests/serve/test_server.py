@@ -5,6 +5,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from http.client import HTTPConnection
 
 import pytest
@@ -12,6 +13,8 @@ import pytest
 from repro.core.runner import run_sweep
 from repro.core.sweep import SweepConfig
 from repro.core.timing import TimingPolicy
+from repro.exec import Executor, WorkerPool
+from repro.machine.fingerprint import MODEL_VERSION
 from repro.serve import ServeClient, ServeError, ServerThread, submit_sweep
 from repro.serve.server import MAX_BODY_BYTES
 
@@ -130,38 +133,28 @@ def test_missing_cell_is_404(client):
     assert info.value.status == 404
 
 
-def test_traversal_salt_is_400_and_touches_nothing_outside_the_root(tmp_path):
-    """``?salt=`` obeys the ``POST /sweep`` rule: a salt that could
-    leave the store root neither serves nor migrates a file there."""
+def test_traversal_salt_is_refused_and_touches_nothing_outside_the_root(tmp_path):
+    """A salt is no longer a path: a ``POST`` naming another model is a
+    409, a ``?salt=`` query is ignored, and no request serves, moves or
+    creates anything outside the daemon's own generation."""
     digest = "ab" + "0" * 62
     sharded = tmp_path / "victim" / "ab" / f"{digest}.json"
     sharded.parent.mkdir(parents=True)
     sharded.write_text('{"outside": 1}')
-    legacy = tmp_path / "victim2" / f"{digest}.json"
-    legacy.parent.mkdir()
-    legacy.write_text('{"outside": 2}')
     root = tmp_path / "root"
     root.mkdir()
     with ServerThread(store_root=root) as srv:
         client = ServeClient(srv.url, timeout=60.0)
-        for salt in ("../victim", "../victim2"):
-            with pytest.raises(ServeError) as info:
-                client.cell(digest, salt=salt)
-            assert info.value.status == 400
-            assert "salt must be a non-empty path-safe string" in str(info.value)
+        with pytest.raises(ServeError) as info:
+            client.request_json("POST", "/sweep?wait=1", sweep_body(salt="../victim"))
+        assert info.value.status == 409
+        with pytest.raises(ServeError) as info:
+            client.request_json("GET", f"/cells/{digest}?salt=../victim")
+        assert info.value.status == 404
+        client.request_json("POST", "/sweep?wait=1", sweep_body(sizes=[1024]))
     assert sharded.read_text() == '{"outside": 1}'
-    assert legacy.read_text() == '{"outside": 2}'
-    assert not (tmp_path / "victim2" / "ab").exists()
-
-
-def test_reading_an_unknown_salt_adds_no_store(client):
-    client.request_json("POST", "/sweep?wait=1", sweep_body(sizes=[1024]))
-    before = client.stats()["stores"]
-    assert before  # the sweep's store
-    with pytest.raises(ServeError) as info:
-        client.cell("0" * 64, salt="never-written")
-    assert info.value.status == 404
-    assert client.stats()["stores"] == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["root", "victim"]
+    assert [p.name for p in root.iterdir() if p.is_dir()] == [MODEL_VERSION]
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +215,34 @@ def test_submit_sweep_reports_progress_in_completion_order(server):
     )
     assert len(seen) == 6
     assert {s for s, _, _ in seen} == {"copying", "reference", "vector"}
+
+
+def test_event_stream_ends_although_a_worker_forked_during_it(tmp_path):
+    """The daemon forks its worker pool at the first parallel batch,
+    and the workers inherit every connection open at that moment.  The
+    event stream must still end at the terminal event."""
+    gate = threading.Event()
+    pool = WorkerPool(2)
+
+    class GatedExecutor(Executor):
+        def execute_batch(self, specs, *, on_outcome=None):
+            assert gate.wait(timeout=30), "test gate never released"
+            return super().execute_batch(specs, on_outcome=on_outcome)
+
+    def factory(store):
+        return GatedExecutor(jobs=2, cache=store, pool=pool)
+
+    try:
+        with ServerThread(store_root=tmp_path, executor_factory=factory) as srv:
+            client = ServeClient(srv.url, timeout=20.0)
+            job = client.request_json("POST", "/sweep", sweep_body(sizes=[1024, 2048]))
+            events = client.stream_events(job["job"])
+            assert next(events)["event"] == "job"
+            gate.set()  # the pool forks while this stream is open
+            rest = [event["event"] for event in events]
+        assert rest[-1] == "done" and rest.count("cell") == 4
+    finally:
+        pool.close()
 
 
 def test_client_refuses_unreachable_daemon():

@@ -11,6 +11,7 @@ import time
 import pytest
 
 from repro.exec import Executor, execute_spec
+from repro.machine.fingerprint import MODEL_VERSION
 from repro.serve import PlatformSpec, SweepRequest, SweepService
 
 
@@ -18,7 +19,6 @@ def make_request(
     sizes=(2048,),
     schemes=("copying", "reference"),
     eager_limit=None,
-    salt=None,
     platforms=("ideal",),
 ):
     body = {
@@ -30,8 +30,6 @@ def make_request(
         "schemes": list(schemes),
         "policy": {"iterations": 2, "flush": False},
     }
-    if salt is not None:
-        body["salt"] = salt
     return SweepRequest.from_json(body)
 
 
@@ -168,21 +166,24 @@ def test_perturbed_fingerprint_reprices_only_invalidated_cells(tmp_path):
     assert len(perturbed) == 2
 
 
-def test_salt_bump_invalidates_the_whole_generation(tmp_path):
-    async def run():
-        service = SweepService(store_root=tmp_path)
-        v1 = service.submit(make_request(salt="v1"))
-        await v1.finished.wait()
-        v2 = service.submit(make_request(salt="v2"))
-        await v2.finished.wait()
-        return service, v1, v2
+def test_stats_report_the_one_store_of_this_model(tmp_path):
+    """The daemon keeps one store, for its own ``MODEL_VERSION``:
+    ``stats()["store"]`` reports it, and is ``None`` without a store."""
 
-    service, v1, v2 = asyncio.run(run())
-    assert v1.recomputed == 2 and v2.recomputed == 2
-    stats = service.stats()
-    assert set(stats["stores"]) == {"v1", "v2"}
-    assert stats["stores"]["v1"]["entries"] == 2
-    assert stats["stores"]["v2"]["entries"] == 2
+    async def run(cache):
+        service = SweepService(store_root=tmp_path, cache=cache)
+        job = service.submit(make_request(sizes=(2048, 4096)))
+        await job.finished.wait()
+        return service, job
+
+    service, job = asyncio.run(run(True))
+    store = service.stats()["store"]
+    assert store["salt"] == MODEL_VERSION
+    executed = service.metrics.counter_value("serve.cells_executed")
+    assert store["entries"] == executed == job.recomputed == 4
+    assert store["writes"] == 4 and store["bytes"] > 0
+    uncached, _ = asyncio.run(run(False))
+    assert uncached.stats()["store"] is None
 
 
 def test_cache_off_still_dedups_in_flight(tmp_path):
