@@ -65,23 +65,42 @@ OnOutcome = Callable[[int, CellOutcome, bool], None]
 _CHUNK_WAVES = 4
 
 
-def _ignore_sigint() -> None:
-    """Worker initializer: Ctrl-C belongs to the parent, which cancels
-    queued chunks and joins the workers; an idle worker must not die of
-    it on its own."""
+def _init_worker(cpus: tuple[int, ...], started: Any) -> None:
+    """Worker initializer.
+
+    Ctrl-C belongs to the parent, which cancels queued chunks and joins
+    the workers; an idle worker must not die of it on its own.  Worker
+    k (counted through the shared ``started`` value) is bound to the
+    k-th of the parent's allowed ``cpus``, round-robin, so two workers
+    never share a core while another core idles; the sim kernel then
+    keeps every run of the worker on that core.
+    """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    if not cpus:
+        return
+    with started.get_lock():
+        k = started.value
+        started.value += 1
+    try:
+        os.sched_setaffinity(0, (cpus[k % len(cpus)],))
+    except OSError:
+        pass
 
 
 def _fork_pool(jobs: int) -> ProcessPoolExecutor:
     """A process pool, forked where available so workers inherit the
     already-imported simulator instead of re-importing numpy per spawn."""
-    context = (
-        multiprocessing.get_context("fork")
-        if "fork" in multiprocessing.get_all_start_methods()
-        else None
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
+    cpus: tuple[int, ...] = ()
+    if hasattr(os, "sched_setaffinity"):
+        cpus = tuple(sorted(os.sched_getaffinity(0)))
     return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context, initializer=_ignore_sigint
+        max_workers=jobs,
+        mp_context=context,
+        initializer=_init_worker,
+        initargs=(cpus, context.Value("i", 0)),
     )
 
 

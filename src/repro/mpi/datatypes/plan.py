@@ -311,10 +311,15 @@ class PlanCache:
 
     def invalidate(self, dtype: "Datatype") -> int:
         """Drop every plan of ``dtype`` (``Free()`` semantics); plans
-        already handed out keep working.  Returns entries removed."""
-        stale = [key for key in self._plans if key[0] is dtype]
+        already handed out keep working.  Returns entries removed.
+
+        Walks a snapshot of the keys (``list`` copies them in one C
+        call, holding the GIL): worlds in flight on other threads keep
+        hitting, and so reordering, the shared LRU meanwhile, and may
+        evict one of these keys before it is dropped here."""
+        stale = [key for key in list(self._plans) if key[0] is dtype]
         for key in stale:
-            del self._plans[key]
+            self._plans.pop(key, None)
         self.invalidations += len(stale)
         return len(stale)
 

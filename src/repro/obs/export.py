@@ -173,16 +173,20 @@ def host_chrome_trace(
 
     Accepts one capture, or ``[(label, capture), ...]`` — each capture
     then gets its own process (the perf-gate runner exports one section
-    per gate).
+    per gate).  Each capture's counters, gauges and histograms
+    (``metrics.snapshot()``) ride along under Chrome's top-level
+    ``otherData``, keyed by the section's label.
     """
     from .host import HostTelemetry  # local: avoid import cycle at module load
 
     if isinstance(sections, HostTelemetry):
         sections = [("host wall-clock", sections)]
     events: list[dict[str, Any]] = []
+    metrics: dict[str, Any] = {}
     for i, (label, host) in enumerate(sections):
         events.extend(host_trace_events(host, pid=_HOST_PID + i, label=label))
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
+        metrics[label] = _json_safe(host.metrics.snapshot())
+    return {"traceEvents": events, "displayTimeUnit": "ms", "otherData": metrics}
 
 
 def chrome_trace(

@@ -325,18 +325,14 @@ register(
 # ======================================================================
 # exec-speedup
 # ======================================================================
-#: The sweep the exec gate times four ways, and its parallel run's
-#: worker count.
-EXEC_PLATFORM, EXEC_SIZES, EXEC_ITERATIONS = "skx-impi", (500_000, 1_000_000), 20
+#: The exec gate times the default sweep of this platform four ways
+#: (``repro sweep --platform skx-impi``: 13 sizes x 8 schemes), with
+#: ``EXEC_JOBS`` workers in its parallel run.  Smaller batches barely
+#: carry the pool's fork and join: on 2 vCPUs a 16-cell batch (0.5 and
+#: 1 MB) ran its serial leg in ~0.2 s and read parallel speedups of
+#: 1.13-1.43, against 1.34-1.66 for this one.
+EXEC_PLATFORM = "skx-impi"
 EXEC_JOBS = 2
-
-
-def _exec_config():
-    from ..core import SweepConfig, TimingPolicy
-
-    return SweepConfig(
-        sizes=EXEC_SIZES, policy=TimingPolicy(iterations=EXEC_ITERATIONS, flush=True)
-    )
 
 
 def _exec_skip_parallel(ctx: GateContext) -> str | None:
@@ -348,10 +344,10 @@ def _exec_skip_parallel(ctx: GateContext) -> str | None:
 def _exec_measure(ctx: GateContext) -> dict[str, float]:
     """One interleaved serial/parallel/cold-cache/warm-cache pass, plus
     the byte-identity contract across all four sweeps."""
-    from ..core import run_sweep
+    from ..core import SweepConfig, run_sweep
     from ..exec import Executor, ResultStore
 
-    config = _exec_config()
+    config = SweepConfig()
 
     def timed(executor: Executor):
         # Closing inside the timed region counts the parallel run's

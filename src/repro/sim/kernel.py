@@ -29,21 +29,69 @@ This is the classic "threads as coroutines" PDES construction; the
 threads exist only to give rank programs a natural blocking call style
 (matching real MPI code, see ``examples/``) without rewriting them as
 generators.
+
+One CPU per run
+---------------
+Only one thread of a run is ever runnable, so :meth:`Kernel.run` binds
+its calling thread to the CPU it is on for the length of the run (or
+keeps the one CPU it is already bound to).  CPU affinity is per thread
+on Linux, so every task thread the run starts inherits that mask: a
+handoff then wakes the next thread on the same core, with the
+interpreter's hot state still in its caches, instead of on whichever
+core the OS picks.  The caller's mask is restored when the run ends.
+Where binding is unavailable, the run proceeds unbound.  Binding only
+moves host time; the event order, and so every virtual time, is the
+same either way.
 """
 
 from __future__ import annotations
 
+import ctypes
 import heapq
 import itertools
+import os
 import threading
 from collections.abc import Callable
 from enum import Enum
 from typing import Any
 
+from ..obs import host as _host
 from .errors import DeadlockError, EventLimitExceeded, KernelStateError, SimError
 from .trace import NullTracer, Tracer, WaitEdge, WakeCause
 
 __all__ = ["Kernel", "SimTask", "TaskState"]
+
+
+def _load_sched_getcpu() -> Callable[[], int] | None:
+    """glibc's ``sched_getcpu``: the CPU the calling thread is on (-1
+    on error), or ``None`` where the C library lacks it."""
+    try:
+        fn = ctypes.CDLL(None, use_errno=True).sched_getcpu
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = []
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_sched_getcpu = _load_sched_getcpu()
+
+
+def _bind_to_one_cpu() -> set[int] | None:
+    """Bind the calling thread to the CPU it is on; return the mask to
+    restore afterwards, or ``None`` when nothing was changed (already
+    bound to one CPU, or binding unavailable)."""
+    if _sched_getcpu is None or not hasattr(os, "sched_setaffinity"):
+        return None
+    try:
+        mask = os.sched_getaffinity(0)
+        cpu = _sched_getcpu()
+        if len(mask) == 1 or cpu not in mask:
+            return None
+        os.sched_setaffinity(0, (cpu,))
+    except OSError:
+        return None
+    return mask
 
 
 class _TaskKilled(BaseException):
@@ -282,12 +330,15 @@ class Kernel:
         Raises :class:`DeadlockError` if live tasks remain with no
         events pending, re-raises the first exception any task raised,
         and raises :class:`EventLimitExceeded` past ``max_events``.
+        The calling thread, and so every task thread, is bound to one
+        CPU until the run ends (see "One CPU per run" above).
         """
         if self._ran:
             raise KernelStateError("a Kernel can only be run once")
         self._ran = True
         self._max_events = max_events
         self._done.acquire()
+        previous_mask = _bind_to_one_cpu()
         try:
             task = self._advance()
             if task is not None:
@@ -308,6 +359,16 @@ class Kernel:
                 raise DeadlockError(blocked, edges=self.tracer.wait_edges())
         finally:
             self._abort_remaining()
+            if previous_mask is not None:
+                try:
+                    os.sched_setaffinity(0, previous_mask)
+                except OSError:
+                    pass  # the thread stays bound; the run's outcome stands
+            if _host.active is not None:
+                counters = _host.active.metrics
+                counters.counter("sim.handoffs").inc(self.handoffs)
+                counters.counter("sim.self_resumes").inc(self.self_resumes)
+                counters.counter("sim.events").inc(self._events_processed)
 
     # ------------------------------------------------------------------
     # Internals

@@ -9,6 +9,8 @@ or a cache roundtrip moves any cell by one ulp, the goldens catch it.
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,7 @@ from repro.exec import (
     execute_spec,
     using_executor,
 )
+from repro.exec.executor import WorkerPool
 from repro.exec.executor import _execute_chunk as _real_execute_chunk
 
 GOLDEN = json.loads(
@@ -221,7 +224,62 @@ class TestInterruptAndResume:
         assert set(multiprocessing.active_children()) <= before
 
 
+#: Inherited by forked workers: holds each one inside its task until
+#: every worker holds one, so a sample reaches every worker.
+_ALL_WORKERS = None
+
+
+def _worker_cpus() -> tuple[int, set[int]]:
+    _ALL_WORKERS.wait(timeout=30)
+    return os.getpid(), os.sched_getaffinity(0)
+
+
+def _cpus_of_workers(jobs: int) -> list[set[int]]:
+    """The CPU mask of every worker of a fresh ``jobs``-worker pool."""
+    global _ALL_WORKERS
+    _ALL_WORKERS = multiprocessing.get_context("fork").Barrier(jobs)
+    pool = WorkerPool(jobs)
+    try:
+        futures = [pool.submit(_worker_cpus) for _ in range(jobs)]
+        masks = dict(f.result(timeout=60) for f in futures)
+    finally:
+        pool.close()
+        _ALL_WORKERS = None
+    assert len(masks) == jobs
+    return list(masks.values())
+
+
+needs_forked_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity")
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="needs CPU affinity and forked workers",
+)
+
+
 class TestWorkerPool:
+    @needs_forked_affinity
+    def test_each_worker_holds_its_own_cpu(self):
+        allowed = os.sched_getaffinity(0)
+        if len(allowed) < 2:
+            pytest.skip(f"needs 2 allowed CPUs, this host allows {len(allowed)}")
+        first, second = _cpus_of_workers(2)
+        assert len(first) == len(second) == 1
+        assert first != second and first | second <= allowed
+
+    @needs_forked_affinity
+    def test_more_workers_than_cpus_each_hold_one_allowed_cpu(self):
+        """Twice as many workers as allowed CPUs: round-robin puts two
+        on each, which a worker index lost between workers would not."""
+        allowed = os.sched_getaffinity(0)
+        narrowed = set(sorted(allowed)[:2])
+        os.sched_setaffinity(0, narrowed)
+        try:
+            masks = _cpus_of_workers(2 * len(narrowed))
+        finally:
+            os.sched_setaffinity(0, allowed)
+        assert all(len(mask) == 1 and mask <= narrowed for mask in masks)
+        assert sorted(masks.count({cpu}) for cpu in narrowed) == [2] * len(narrowed)
+
     def test_a_dead_worker_does_not_break_later_batches(self):
         import os
         from concurrent.futures.process import BrokenProcessPool

@@ -562,3 +562,32 @@ def test_sweep_host_trace_flag(tmp_path, capsys):
     validate_chrome_trace(doc)
     spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
     assert any(e["name"] == "cell.execute" for e in spans)
+
+
+def test_host_trace_file_carries_the_counters(tmp_path, capsys, monkeypatch):
+    """The file holds the capture's counters under ``otherData``: one
+    real-byte scatter per materialized cell, and the kernel's handoffs."""
+    import json
+
+    from repro.core import SweepConfig
+    from repro.obs import validate_chrome_trace
+    from repro.sim import Kernel
+
+    kernels = []
+    real_run = Kernel.run
+
+    def run(self, max_events=None):
+        kernels.append(self)
+        return real_run(self, max_events)
+
+    monkeypatch.setattr(Kernel, "run", run)
+    trace = tmp_path / "host.json"
+    assert main(["sweep", "--platform", "skx-impi", "--quick", "--jobs", "1",
+                 "--no-cache", "--host-trace", str(trace)]) == 0
+    doc = json.loads(trace.read_text())
+    validate_chrome_trace(doc)
+    counters = doc["otherData"]["host wall-clock"]
+    config = SweepConfig.quick()
+    materialized = len(config.schemes) * sum(map(config.materialize, config.sizes))
+    assert counters["kernel.scatter.single_run"] == materialized > 0
+    assert counters["sim.handoffs"] == sum(k.handoffs for k in kernels) > 0

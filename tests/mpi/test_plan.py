@@ -7,6 +7,9 @@ is a cache hit, visible in the world's metrics registry.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,35 @@ class TestCacheBehaviour:
         stats = plan_cache_stats()
         assert stats["size"] == size - 3
         assert stats["invalidations"] == invalidations + 3
+
+    def test_free_while_another_thread_hits_the_cache(self):
+        """Worlds in flight in one process (the serve daemon's serial
+        jobs) share the cache: freeing a type in one must not trip over
+        the other's hits, each of which reorders the LRU."""
+        hot = [make_vector(4, 1, 2, DOUBLE).commit() for _ in range(2)]
+        freed = [make_vector(4, 1, 2, DOUBLE).commit() for _ in range(200)]
+        stop = threading.Event()
+
+        def hit():
+            while not stop.is_set():
+                for v in hot:  # alternating, so every hit moves an entry
+                    plan_for(v, 1)
+
+        hitter = threading.Thread(target=hit)
+        saved = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            hitter.start()
+            for v in freed:
+                v.free()
+        finally:
+            stop.set()
+            hitter.join(timeout=10)
+            sys.setswitchinterval(saved)
+            for v in hot:
+                v.free()
+        assert not hitter.is_alive()
+        assert all((v, 1) not in _CACHE._plans for v in freed)
 
     def test_freed_datatype_rejected_on_send(self, ideal):
         v = make_vector(4, 1, 2, DOUBLE).commit()

@@ -224,6 +224,14 @@ class TestHostChromeExport:
         pids = {e["pid"] for e in doc["traceEvents"]}
         assert len(pids) == 2
 
+    def test_counters_ride_along_under_other_data(self):
+        gate_a, gate_b = self._capture(), self._capture()
+        gate_a.metrics.counter("sim.handoffs").inc(3)
+        doc = host_chrome_trace([("gate a", gate_a), ("gate b", gate_b)])
+        validate_chrome_trace(doc)
+        _validate_structurally(doc)
+        assert doc["otherData"] == {"gate a": {"sim.handoffs": 3}, "gate b": {}}
+
     def test_combined_with_virtual_time_trace(self, ideal):
         """``chrome_trace(..., host=...)`` appends the host lanes to a
         virtual-time document as a separate process."""

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import errno
+import json
+import os
 import signal
 import threading
 import weakref
+from pathlib import Path
 
 import pytest
 
+from repro.obs import host
 from repro.sim import (
     DeadlockError,
     EventLimitExceeded,
@@ -409,13 +414,30 @@ def test_abnormal_ends_leave_no_task_threads(ending, capfd):
     assert capfd.readouterr().err == ""
 
 
+def _golden_vector_cell() -> tuple[str, int]:
+    """The pinned ``skx-impi/mid-1MB/vector`` cell: (time hex, events)."""
+    golden = json.loads(
+        (Path(__file__).parent.parent / "core" / "golden_scheme_times.json").read_text()
+    )["skx-impi/mid-1MB/vector"]
+    return golden["time"], golden["events"]
+
+
+def _run_vector_cell() -> tuple[str, int]:
+    from repro.core import StridedLayout, TimingPolicy, run_pingpong
+
+    cell = run_pingpong(
+        "vector",
+        StridedLayout(nblocks=125_000, blocklen=1, stride=2),
+        "skx-impi",
+        policy=TimingPolicy(iterations=3, flush=True),
+        materialize=False,
+    )
+    return cell.time.hex(), cell.events
+
+
 def test_handoffs_and_self_resumes_sum_to_suspends(monkeypatch):
     """Pinned on one golden cell: every suspend is resumed either in
     place or by one handoff, and the golden times are unchanged."""
-    import json
-    from pathlib import Path
-
-    from repro.core import StridedLayout, TimingPolicy, run_pingpong
     from repro.sim.kernel import SimTask
 
     kernels, suspends = [], [0]
@@ -431,17 +453,155 @@ def test_handoffs_and_self_resumes_sum_to_suspends(monkeypatch):
 
     monkeypatch.setattr(Kernel, "run", run)
     monkeypatch.setattr(SimTask, "_suspend", suspend)
-    cell = run_pingpong(
-        "vector",
-        StridedLayout(nblocks=125_000, blocklen=1, stride=2),
-        "skx-impi",
-        policy=TimingPolicy(iterations=3, flush=True),
-        materialize=False,
-    )
-    golden = json.loads(
-        (Path(__file__).parent.parent / "core" / "golden_scheme_times.json").read_text()
-    )["skx-impi/mid-1MB/vector"]
-    assert (cell.time.hex(), cell.events) == (golden["time"], golden["events"])
+    assert _run_vector_cell() == _golden_vector_cell()
     (kernel,) = kernels
     assert kernel.handoffs + kernel.self_resumes == suspends[0]
     assert (kernel.handoffs, kernel.self_resumes) == (26, 25)
+
+
+def test_a_captured_run_adds_its_counts_to_the_host_counters():
+    k = Kernel()
+    cond = SimCondition(k, "c")
+
+    def a():
+        for _ in range(3):
+            k.tasks[0].sleep(1.0)
+            cond.notify_all()
+
+    def b():
+        for _ in range(3):
+            cond.wait(k.tasks[1])
+        k.tasks[1].sleep(0.5)
+
+    k.spawn(a, name="a")
+    k.spawn(b, name="b")
+    with host.capturing() as capture:
+        k.run()
+    counters = capture.metrics
+    assert k.handoffs > 0 and k.self_resumes > 0
+    assert (
+        counters.counter_value("sim.handoffs"),
+        counters.counter_value("sim.self_resumes"),
+        counters.counter_value("sim.events"),
+    ) == (k.handoffs, k.self_resumes, k.events_processed)
+
+
+# ----------------------------------------------------------------------
+# One CPU per run: the task threads inherit the caller's one-CPU mask
+# for the length of the run, and the caller gets its own mask back.
+# ----------------------------------------------------------------------
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity"), reason="no CPU affinity on this platform"
+)
+
+
+def _sample_masks(k: Kernel, ntasks: int, ending: str = "normal") -> list[set[int]]:
+    """Run ``ntasks`` sleeping tasks on ``k``; each reports its thread's
+    CPU mask before and after a switch.  ``ending`` makes task 0 raise
+    or block forever after its first sample."""
+    masks: list[set[int]] = []
+    cond = SimCondition(k, "never")
+
+    def rank(i):
+        task = k.tasks[i]
+        masks.append(os.sched_getaffinity(0))
+        task.sleep(1.0 + i)
+        if i == 0 and ending == "failure":
+            raise RuntimeError("kaput")
+        if i == 0 and ending == "deadlock":
+            cond.wait(task, reason="forever")
+        masks.append(os.sched_getaffinity(0))
+
+    for i in range(ntasks):
+        k.spawn(rank, i, name=f"r{i}")
+    expected = {"normal": None, "failure": RuntimeError, "deadlock": DeadlockError}[ending]
+    if expected is None:
+        k.run()
+    else:
+        with pytest.raises(expected):
+            k.run()
+    return masks
+
+
+@needs_affinity
+def test_a_runs_task_threads_share_one_cpu_and_other_threads_keep_theirs():
+    caller = os.sched_getaffinity(0)
+    go, sampled = threading.Event(), threading.Event()
+    helper_masks = []
+
+    def helper():
+        go.wait(10)
+        helper_masks.append(os.sched_getaffinity(0))
+        sampled.set()
+
+    def sample_helper():
+        go.set()
+        sampled.wait(10)
+
+    helper_thread = threading.Thread(target=helper)
+    helper_thread.start()
+    k = Kernel()
+    k.call_later(0.5, sample_helper)
+    masks = _sample_masks(k, 4)
+    helper_thread.join(timeout=10)
+    assert not helper_thread.is_alive()
+    assert len(masks) == 8
+    (cpus,) = {frozenset(m) for m in masks}
+    assert len(cpus) == 1 and cpus <= caller
+    assert helper_masks == [caller]
+    assert os.sched_getaffinity(0) == caller
+
+
+@needs_affinity
+def test_a_caller_bound_to_one_cpu_keeps_it():
+    caller = os.sched_getaffinity(0)
+    cpu = max(caller)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        masks = _sample_masks(Kernel(), 2)
+        assert os.sched_getaffinity(0) == {cpu}
+    finally:
+        os.sched_setaffinity(0, caller)
+    assert masks == [{cpu}] * 4
+
+
+@needs_affinity
+@pytest.mark.parametrize("ending", ["normal", "failure", "deadlock"])
+def test_the_callers_mask_is_restored_however_the_run_ends(ending):
+    caller = os.sched_getaffinity(0)
+    masks = _sample_masks(Kernel(), 2, ending)
+    assert masks and all(len(m) == 1 and m <= caller for m in masks)
+    assert os.sched_getaffinity(0) == caller
+
+
+@needs_affinity
+def test_a_run_proceeds_unbound_where_binding_is_refused(monkeypatch):
+    def refuse(pid, mask):
+        raise OSError(errno.EPERM, "binding refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    caller = os.sched_getaffinity(0)
+    assert _sample_masks(Kernel(), 2) == [caller] * 4
+    assert _run_vector_cell() == _golden_vector_cell()
+    assert os.sched_getaffinity(0) == caller
+
+
+@needs_affinity
+def test_a_refused_restore_does_not_fail_the_run(monkeypatch):
+    real = os.sched_setaffinity
+    caller = os.sched_getaffinity(0)
+    calls = []
+
+    def bind_once(pid, mask):
+        calls.append(set(mask))
+        if len(calls) > 1:
+            raise OSError(errno.EPERM, "restore refused")
+        real(pid, mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", bind_once)
+    try:
+        assert _run_vector_cell() == _golden_vector_cell()
+    finally:
+        real(0, caller)
+    if len(caller) > 1:
+        assert len(calls[0]) == 1 and calls[1:] == [caller]
