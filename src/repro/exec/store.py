@@ -1,41 +1,30 @@
 """Content-addressed on-disk result store.
 
-One JSON file per executed cell, addressed by the cell's content
-digest, under a *model-version* directory with a two-hex-char shard
-fan-out::
-
-    <root>/<MODEL_VERSION>/<digest[:2]>/<digest>.json
-
+One SQLite database per *model version*, one row per executed cell,
+keyed by the cell's content digest: ``<root>/<MODEL_VERSION>/cells.sqlite``.
 A store reads and writes only the running code's
-:data:`repro.machine.fingerprint.MODEL_VERSION`; bumping it (whenever
-pricing under ``repro.machine``/``repro.mpi`` changes) orphans every
-previously cached cell without touching the files, so a stale
-generation can still be inspected — ``repro cache stats`` reports it,
-``repro cache clear`` reaps it.
+:data:`repro.machine.fingerprint.MODEL_VERSION`; bumping it orphans
+every cached cell in place, as a stale generation that ``repro cache
+stats`` reports and ``repro cache clear`` and eviction reap.  Files of
+the sharded JSON layout that preceded the database
+(``<root>/<version>/<digest[:2]>/<digest>.json``) are stale too, never
+served nor migrated.
 
-The shard fan-out is what keeps directory operations flat at 10^5+
-cells: no single directory ever holds more than ~1/256th of a
-generation's entries.  Sizes come from a walk of those directories;
-nothing on disk records them.
+A row's ``body`` is the cell's entry JSON with floats as ``float.hex()``
+strings, so a hit reconstitutes the *exact* per-iteration times.  Each
+put commits on its own (WAL journal, a busy timeout for writers in other
+threads and processes), so every cell completed before a
+``KeyboardInterrupt`` is durable; a put that fails (an unwritable root,
+a full disk) raises :class:`StoreError`, and a read that cannot open or
+parse is a miss.  The ``counters`` table takes the lifetime access
+counters as atomic increments, and triggers keep the bodies' total size
+there.  Counters and the recency of hits (each row's ``used`` time,
+which eviction orders by) are written once per batch, best-effort.
 
-Floats are persisted as ``float.hex()`` strings: a cache hit
-reconstitutes the *exact* per-iteration times, so cached and fresh
-results are bit-identical (the golden tests pin this).
-
-Writes are atomic (temp file + ``os.replace``) and per-cell, which is
-what makes interrupted sweeps resumable: every cell completed before a
-``KeyboardInterrupt`` is already durable, and re-running the same
-command fast-forwards through them as hits.  A write that fails (an
-unwritable root, a full disk) removes its temp file and raises
-:class:`StoreError`; the cells already written stay readable.
-
-When constructed with ``max_bytes``, the store is **size-bounded**:
-after a put pushes the total over the bound, least-recently-used
-entries (hits refresh an entry's mtime) are evicted until the store
-fits again.  Digests named by the ``protect`` callable — the serve
-daemon passes its in-flight set — are never evicted.  Evictions are
-counted in the persisted sidecar, so ``repro cache stats`` reports
-lifetime eviction pressure across processes.
+Connections are opened lazily, one per thread and per process (a forked
+worker never touches its parent's), and a database removed or replaced
+under a live store (``repro cache clear`` from another process) is
+reopened at the next access.
 """
 
 from __future__ import annotations
@@ -44,7 +33,9 @@ import contextlib
 import json
 import os
 import shutil
+import sqlite3
 import threading
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator
@@ -55,26 +46,49 @@ from .spec import CellOutcome, CellSpec
 
 __all__ = ["ResultStore", "StoreError", "StoreStats", "default_cache_dir"]
 
-#: Bump when the *file format* (not the pricing model) changes.
+#: Bump when the *entry format* (not the pricing model) changes.
 _FORMAT_VERSION = 1
 
-#: Sidecar at the store root accumulating lifetime access counters
-#: across processes (never a cached cell; excluded from entry scans).
-_COUNTERS_FILE = "counters.json"
+#: The database of one generation, under ``<root>/<MODEL_VERSION>/``.
+_DB_NAME = "cells.sqlite"
 
-#: The lifetime counters persisted in the sidecar.
-_COUNTER_KEYS = (
-    "hits",
-    "misses",
-    "writes",
-    "bytes_read",
-    "bytes_written",
-    "evictions",
+#: Seconds a connection waits for another writer before giving up.
+_BUSY_TIMEOUT_S = 60.0
+
+#: Created once per database; triggers keep ``stored_bytes`` = SUM(length(body)).
+_SCHEMA = """
+BEGIN IMMEDIATE;
+CREATE TABLE IF NOT EXISTS cells (
+    digest TEXT PRIMARY KEY, body BLOB NOT NULL, used REAL NOT NULL);
+CREATE INDEX IF NOT EXISTS cells_by_use ON cells (used, digest);
+CREATE TABLE IF NOT EXISTS counters (name TEXT PRIMARY KEY, value INTEGER NOT NULL);
+INSERT OR IGNORE INTO counters VALUES ('stored_bytes', 0);
+CREATE TRIGGER IF NOT EXISTS cells_added AFTER INSERT ON cells BEGIN UPDATE counters
+    SET value = value + length(new.body) WHERE name = 'stored_bytes'; END;
+CREATE TRIGGER IF NOT EXISTS cells_rewritten AFTER UPDATE OF body ON cells BEGIN UPDATE
+    counters SET value = value + length(new.body) - length(old.body)
+    WHERE name = 'stored_bytes'; END;
+CREATE TRIGGER IF NOT EXISTS cells_removed AFTER DELETE ON cells BEGIN UPDATE counters
+    SET value = value - length(old.body) WHERE name = 'stored_bytes'; END;
+PRAGMA user_version = 1;
+COMMIT;
+"""
+_PUT = (
+    "INSERT INTO cells (digest, body, used) VALUES (?, ?, ?) ON CONFLICT (digest) "
+    "DO UPDATE SET body = excluded.body, used = excluded.used"
 )
+_INCREMENT = (
+    "INSERT INTO counters (name, value) VALUES (?, ?) "
+    "ON CONFLICT (name) DO UPDATE SET value = value + excluded.value"
+)
+_TOTALS = "SELECT COUNT(*), (SELECT value FROM counters WHERE name = 'stored_bytes') FROM cells"
 
-#: Digest filenames are exactly 64 lowercase hex chars + ".json";
-#: shard directories are the first two.
-_DIGEST_HEX = set("0123456789abcdef")
+#: The lifetime counters persisted in the ``counters`` table.
+_COUNTER_KEYS = ("hits", "misses", "writes", "bytes_read", "bytes_written", "evictions")
+
+#: Connections a forked child inherited, kept referenced so that the
+#: child never closes (touches) its parent's database handles.
+_INHERITED: list[dict] = []
 
 
 class StoreError(OSError):
@@ -82,39 +96,35 @@ class StoreError(OSError):
     root, a full disk); the message names the root and the cause."""
 
 
-def _is_digest_name(stem: str) -> bool:
-    return len(stem) == 64 and set(stem) <= _DIGEST_HEX
-
-
-def _size_of(path: Path) -> int | None:
-    """``path``'s size in bytes, or ``None`` when it is gone."""
+def _open(path: Path) -> sqlite3.Connection:
+    """A connection to the database at ``path`` (created if absent),
+    in WAL mode and with its schema."""
+    conn = sqlite3.connect(
+        path, timeout=_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
+    )
     try:
-        return path.stat().st_size
-    except OSError:
-        return None
-
-
-def _scratch_path(path: Path) -> Path:
-    """A write-then-rename scratch name unique per process *and*
-    thread — concurrent writers of one target (the serve daemon, the
-    threaded executor) must never share a temp file, or one writer's
-    rename erases the other's pending bytes."""
-    return path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a scratch file and a rename;
-    on failure the scratch file is removed and the ``OSError``
-    propagates."""
-    tmp = _scratch_path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            tmp.unlink()
+        conn.execute("PRAGMA journal_mode = WAL")
+        # Commits survive a killed process; a power cut may lose the
+        # last ones, which are then recomputed.
+        conn.execute("PRAGMA synchronous = NORMAL")
+        if conn.execute("PRAGMA user_version").fetchone()[0] == 0:
+            conn.executescript(_SCHEMA)
+    except BaseException:
+        conn.close()
         raise
+    return conn
+
+
+def _db_totals(path: Path) -> tuple[int, int]:
+    """``(entries, bytes)`` of another generation's database; zeros
+    when it cannot be read."""
+    uri = f"{path.absolute().as_uri()}?mode=rw"
+    try:
+        with contextlib.closing(sqlite3.connect(uri, uri=True)) as conn:
+            entries, nbytes = conn.execute(_TOTALS).fetchone()
+    except sqlite3.Error:
+        return 0, 0
+    return entries, nbytes or 0
 
 
 def default_cache_dir() -> Path:
@@ -141,7 +151,7 @@ class StoreStats:
     hits: int = 0  #: Lifetime cache hits (persisted counter).
     misses: int = 0  #: Lifetime cache misses.
     writes: int = 0  #: Lifetime cell writes.
-    bytes_read: int = 0  #: Lifetime bytes served from cache files.
+    bytes_read: int = 0  #: Lifetime bytes served from stored entries.
     bytes_written: int = 0  #: Lifetime bytes persisted.
     evictions: int = 0  #: Lifetime size-bound evictions.
 
@@ -156,9 +166,7 @@ class StoreStats:
             f"{self.bytes_written:,} B written",
         ]
         if self.evictions:
-            lines.append(
-                f"  evicted:     {self.evictions} entries (size-bound LRU)"
-            )
+            lines.append(f"  evicted:     {self.evictions} entries (size-bound LRU)")
         if self.stale_entries:
             lines.append(
                 f"  stale:       {self.stale_entries} entries from older model "
@@ -166,8 +174,7 @@ class StoreStats:
             )
         if self.generations_orphaned:
             lines.append(
-                f"  orphaned:    {self.generations_orphaned} older model "
-                "generation(s) on disk"
+                f"  orphaned:    {self.generations_orphaned} older model generation(s) on disk"
             )
         return "\n".join(lines)
 
@@ -176,9 +183,8 @@ class ResultStore:
     """Content-addressed cell-outcome store on the local filesystem.
 
     It reads and writes the generation of the running code's
-    ``MODEL_VERSION`` (:attr:`salt`, fixed at construction); the other
-    generations under the root only count as stale and take part in
-    eviction and :meth:`clear`.
+    ``MODEL_VERSION`` (:attr:`salt`, fixed at construction); everything
+    else under the root is stale, reaped by eviction and :meth:`clear`.
 
     Parameters
     ----------
@@ -186,13 +192,12 @@ class ResultStore:
         Store directory (default: :func:`default_cache_dir`).
     max_bytes:
         Optional size bound.  When set, a put that pushes the store
-        (all generations) past the bound triggers an LRU eviction pass
-        back down to it.  ``None`` (default) never evicts.
+        (all generations) past the bound triggers an eviction pass back
+        down to it.  ``None`` (default) never evicts.
     protect:
         Optional callable returning digests that must never be evicted
-        (the serve daemon's in-flight set).  Consulted at eviction time,
-        from whichever thread runs the eviction, so it must be
-        thread-safe.
+        (the serve daemon's in-flight set).  Called from whichever thread
+        runs the eviction, so it must be thread-safe.
     """
 
     def __init__(
@@ -202,51 +207,104 @@ class ResultStore:
         max_bytes: int | None = None,
         protect: Callable[[], Collection[str]] | None = None,
     ):
+        # This process's connections by thread, with the file's (device, inode).
+        self._pid = os.getpid()
+        self._conns: dict[int, tuple[sqlite3.Connection, tuple[int, int]]] = {}
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         self.root = Path(root) if root is not None else default_cache_dir()
         self.salt = MODEL_VERSION
         self.max_bytes = max_bytes
         self.protect = protect
-        # In-process access counters since construction (or the last
-        # flush_counters()); the persisted lifetime totals live in the
-        # counters.json sidecar.
+        self._db = self.root / self.salt / _DB_NAME
+        # Counters and hits (digest -> time) since the last flush_counters().
         self.hits = 0
         self.misses = 0
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
         self.evictions = 0
-        # Bytes under the root as this process knows them: a scan seeds
-        # it at first use, puts and evictions move it, and every
-        # evict_to() scan resets it.  Other processes' writes show up at
-        # the next scan.  The daemon's jobs put from several threads.
-        self._total_bytes: int | None = None
-        self._total_lock = threading.Lock()
+        self._used: dict[str, float] = {}
+        self._lock = threading.Lock()
+        # Nothing writes stale content any more: a bounded store sizes it
+        # once, then only its evictions move it.
+        self._stale_bytes: int | None = None
+        # This process's writers queue here rather than in SQLite's busy
+        # handler, which sleeps a millisecond or more per collision.
+        self._writing = threading.Lock()
+
+    def __del__(self) -> None:
+        # Close this process's connections now, not at some later cycle
+        # collection; a forked child keeps its parent's untouched.
+        if self._pid != os.getpid():
+            _INHERITED.append(self._conns)
+            return
+        for conn, _ in self._conns.values():
+            with contextlib.suppress(sqlite3.Error):
+                conn.close()
 
     # ------------------------------------------------------------------
-    def path_for(self, spec: CellSpec) -> Path:
-        return self.path_for_digest(spec.digest)
+    def _connection(self, *, create: bool) -> sqlite3.Connection | None:
+        """This thread's connection to the generation's database, opened
+        on first use and reopened when the file was removed or replaced;
+        ``None`` when the file is absent and ``create`` is false."""
+        try:
+            st = os.stat(self._db)
+            inode = (st.st_dev, st.st_ino)
+        except OSError:
+            if not create:
+                return None
+            inode = None
+        if self._pid != os.getpid():
+            _INHERITED.append(self._conns)
+            self._pid, self._conns = os.getpid(), {}
+        held = self._conns.pop(threading.get_ident(), None)
+        if held is not None and held[1] == inode:
+            conn = held[0]
+        else:
+            if held is not None:
+                with contextlib.suppress(sqlite3.Error):
+                    held[0].close()
+            self._db.parent.mkdir(parents=True, exist_ok=True)
+            conn = _open(self._db)
+            st = os.stat(self._db)
+            inode = (st.st_dev, st.st_ino)
+        self._conns[threading.get_ident()] = (conn, inode)
+        return conn
 
-    def path_for_digest(self, digest: str) -> Path:
-        """The sharded on-disk location of one digest's entry."""
-        return self.root / self.salt / digest[:2] / f"{digest}.json"
+    @contextlib.contextmanager
+    def _transaction(self) -> Iterator[sqlite3.Connection]:
+        """A write transaction that holds the write lock from its start."""
+        with self._writing:
+            conn = self._connection(create=True)
+            conn.execute("BEGIN IMMEDIATE")
+            try:
+                yield conn
+                conn.execute("COMMIT")
+            except BaseException:
+                with contextlib.suppress(sqlite3.Error):
+                    conn.rollback()
+                raise
+
+    def _body(self, digest: str) -> bytes | None:
+        """The stored entry JSON of one digest; ``None`` when absent."""
+        conn = self._connection(create=False)
+        query = "SELECT body FROM cells WHERE digest = ?"
+        row = conn.execute(query, (digest,)).fetchone() if conn else None
+        return row[0] if row else None
 
     def get(self, spec: CellSpec) -> CellOutcome | None:
-        """The stored outcome for ``spec``, or ``None``.
-
-        Unreadable or malformed entries (partial writes from a killed
-        process, format drift) behave as misses — the cell simply
-        re-executes and overwrites them.  A hit refreshes the entry's
-        mtime, which is what the size-bound eviction pass orders by.
-        """
+        """The stored outcome for ``spec``, or ``None``.  Unreadable or
+        malformed entries behave as misses (the cell re-executes and
+        overwrites them).  A hit refreshes the entry's recency, written
+        at the next :meth:`flush_counters`."""
         telemetry = _host.active
         begin = telemetry.now() if telemetry is not None else 0.0
         try:
-            text = self._read_entry(spec.digest)
-            if text is None:
+            body = self._body(spec.digest)
+            if body is None:
                 return self._miss(telemetry, begin)
-            data = json.loads(text)
+            data = json.loads(body)
             if data.get("format") != _FORMAT_VERSION:
                 return self._miss(telemetry, begin)
             outcome = CellOutcome(
@@ -255,65 +313,45 @@ class ResultStore:
                 events=int(data["events"]),
                 virtual_time=float.fromhex(data["virtual_time_hex"]),
             )
-        except (OSError, ValueError, KeyError, TypeError):
+        except (sqlite3.Error, OSError, ValueError, KeyError, TypeError, AttributeError):
             return self._miss(telemetry, begin)
-        self.hits += 1
-        self.bytes_read += len(text)
+        with self._lock:
+            self.hits += 1
+            self.bytes_read += len(body)
+            self._used[spec.digest] = time.time()
         if telemetry is not None:
             telemetry.metrics.counter("store.hits").inc()
-            telemetry.metrics.counter("store.bytes_read").inc(len(text))
+            telemetry.metrics.counter("store.bytes_read").inc(len(body))
             telemetry.metrics.histogram("store.read_seconds", "latency").observe(
                 telemetry.now() - begin
             )
         return outcome
 
-    def _read_entry(self, digest: str) -> str | None:
-        """Raw text of one digest's entry; ``None`` when absent."""
-        path = self.path_for_digest(digest)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        try:
-            # LRU recency: a served entry is "used" now.  Best-effort —
-            # a read-only store must still serve hits.
-            os.utime(path)
-        except OSError:
-            pass
-        return text
-
     def read_digest(self, digest: str) -> dict[str, Any] | None:
         """The raw persisted payload of one digest, or ``None`` — the
         serve daemon's ``GET /cells/<digest>``."""
-        if not _is_digest_name(digest):
-            return None
         try:
-            text = self._read_entry(digest)
-            if text is None:
-                return None
-            data = json.loads(text)
-        except (OSError, ValueError):
+            body = self._body(digest)
+            data = json.loads(body) if body is not None else None
+        except (sqlite3.Error, OSError, ValueError):
             return None
         return data if isinstance(data, dict) else None
 
     def _miss(self, telemetry, begin: float) -> None:
-        self.misses += 1
+        with self._lock:
+            self.misses += 1
         if telemetry is not None:
             telemetry.metrics.counter("store.misses").inc()
             telemetry.metrics.histogram("store.read_seconds", "latency").observe(
                 telemetry.now() - begin
             )
-        return None
 
-    def put(self, spec: CellSpec, outcome: CellOutcome) -> Path:
-        """Persist ``outcome`` under ``spec``'s digest (atomic).
-
-        Raises :class:`StoreError` when the entry cannot be written; no
-        temp file is left behind."""
-        path = self.path_for(spec)
+    def put(self, spec: CellSpec, outcome: CellOutcome) -> None:
+        """Persist ``outcome`` under ``spec``'s digest, committed when this
+        returns; raises :class:`StoreError` when it cannot be written."""
         payload = {
             "format": _FORMAT_VERSION,
-            # Human provenance — ignored on load, keyed by the filename.
+            # Human provenance — ignored on load, keyed by the digest.
             "cell": spec.describe(),
             "times_hex": [t.hex() for t in outcome.times],
             "verified": outcome.verified,
@@ -322,209 +360,169 @@ class ResultStore:
         }
         telemetry = _host.active
         begin = telemetry.now() if telemetry is not None else 0.0
-        text = json.dumps(payload, indent=1) + "\n"
-        tracked = self._total_bytes is not None
-        replaced = (_size_of(path) or 0) if tracked else 0
+        body = (json.dumps(payload, indent=1) + "\n").encode()
         try:
-            _write_atomic(path, text)
-        except OSError as exc:
+            with self._writing:
+                self._connection(create=True).execute(_PUT, (spec.digest, body, time.time()))
+        except (sqlite3.Error, OSError) as exc:
             raise StoreError(
                 f"cannot write to the result store at {self.root}: {exc}"
             ) from exc
-        self.writes += 1
-        self.bytes_written += len(text)
-        if tracked:
-            with self._total_lock:
-                if self._total_bytes is not None:
-                    self._total_bytes += len(text) - replaced
+        with self._lock:
+            self.writes += 1
+            self.bytes_written += len(body)
         if telemetry is not None:
             telemetry.metrics.counter("store.writes").inc()
-            telemetry.metrics.counter("store.bytes_written").inc(len(text))
+            telemetry.metrics.counter("store.bytes_written").inc(len(body))
             telemetry.metrics.histogram("store.write_seconds", "latency").observe(
                 telemetry.now() - begin
             )
         if self.max_bytes is not None:
             self._maybe_evict()
-        return path
 
-    # ------------------------------------------------------------------
-    # Sidecar counters.
     # ------------------------------------------------------------------
     def flush_counters(self) -> dict[str, int]:
-        """Merge this process's counter deltas into the on-disk sidecar
-        and reset them; returns the merged lifetime totals.
-
-        The merge is read-modify-write through an atomic replace, the
-        same pattern as :meth:`put` — concurrent flushers can lose each
-        other's increments in a race, which is acceptable for advisory
-        lifetime counters (cells themselves are never at risk)."""
-        deltas = {key: getattr(self, key) for key in _COUNTER_KEYS}
-        totals = self.persisted_counters()
-        for key in _COUNTER_KEYS:
-            totals[key] += deltas[key]
-        if any(deltas.values()):
-            self._write_sidecar(dict(totals))
-        for key in _COUNTER_KEYS:
-            setattr(self, key, 0)
-        return totals
+        """Add this process's counter deltas to the persisted totals and
+        write the recency of its hits, in one transaction of atomic
+        increments; returns the lifetime totals.  Best-effort: when the
+        database refuses the write, the deltas are dropped."""
+        with self._lock:
+            deltas = [(key, getattr(self, key)) for key in _COUNTER_KEYS if getattr(self, key)]
+            for key in _COUNTER_KEYS:
+                setattr(self, key, 0)
+            used, self._used = self._used, {}
+        if deltas or used:
+            with contextlib.suppress(sqlite3.Error, OSError), self._transaction() as conn:
+                conn.executemany(
+                    "UPDATE cells SET used = ? WHERE digest = ?",
+                    [(when, digest) for digest, when in used.items()],
+                )
+                conn.executemany(_INCREMENT, deltas)
+        return self.persisted_counters()
 
     def persisted_counters(self) -> dict[str, int]:
-        """The lifetime totals from the sidecar (zeros if absent or
+        """The lifetime totals from the database (zeros if absent or
         unreadable — counters are advisory, never load-bearing)."""
-        data = self._read_sidecar()
         totals = dict.fromkeys(_COUNTER_KEYS, 0)
-        for key in _COUNTER_KEYS:
-            value = data.get(key, 0)
-            if isinstance(value, int) and value >= 0:
+        try:
+            conn = self._connection(create=False)
+            rows = conn.execute("SELECT name, value FROM counters").fetchall() if conn else []
+        except (sqlite3.Error, OSError):
+            return totals
+        for key, value in rows:
+            if key in totals and isinstance(value, int) and value >= 0:
                 totals[key] = value
         return totals
 
-    def _read_sidecar(self) -> dict[str, Any]:
-        try:
-            data = json.loads((self.root / _COUNTERS_FILE).read_text())
-        except (OSError, ValueError):
-            return {}
-        return data if isinstance(data, dict) else {}
-
-    def _write_sidecar(self, payload: dict[str, Any]) -> None:
-        # Advisory like the read: a store that cannot take the sidecar
-        # (read-only, full) still serves its hits.
-        text = json.dumps(payload, indent=1) + "\n"
-        with contextlib.suppress(OSError):
-            _write_atomic(self.root / _COUNTERS_FILE, text)
-
     # ------------------------------------------------------------------
-    def iter_entries(self) -> Iterator[tuple[str, Path]]:
-        """Every cached entry as ``(model version, path)``, via an
-        explicit two-level walk (generation dir -> shard dir -> entries)
-        — no ``rglob``."""
-        if not self.root.is_dir():
-            return
+    def _totals(self) -> tuple[int, int]:
+        """``(entries, bytes)`` of this generation's database."""
         try:
-            salt_dirs = sorted(p for p in self.root.iterdir() if p.is_dir())
-        except OSError:
-            return
-        for salt_dir in salt_dirs:
-            try:
-                shards = sorted(p for p in salt_dir.iterdir() if p.is_dir())
-            except OSError:
-                continue
-            for shard in shards:
-                try:
-                    children = sorted(shard.iterdir())
-                except OSError:
-                    continue
-                for entry in children:
-                    if entry.suffix == ".json" and _is_digest_name(entry.stem):
-                        yield salt_dir.name, entry
+            conn = self._connection(create=False)
+            entries, nbytes = conn.execute(_TOTALS).fetchone() if conn else (0, 0)
+        except (sqlite3.Error, OSError):
+            return 0, 0
+        return entries, nbytes or 0
 
-    def _scan_index(self) -> dict[str, list[int]]:
-        """``[entries, bytes]`` per model version, from a directory walk."""
-        index: dict[str, list[int]] = {}
-        for salt, path in self.iter_entries():
-            size = _size_of(path)
-            if size is None:
-                continue
-            pair = index.setdefault(salt, [0, 0])
-            pair[0] += 1
-            pair[1] += size
-        return index
+    def _stale(self) -> list[tuple[Path, int, int]]:
+        """Everything under the root this store does not serve, as
+        reapable ``(path, entries, bytes)``: old-layout entry files, then
+        each other generation's directory with its database."""
+        stale = []
+        for path in sorted(self.root.glob("*/*/*.json")):
+            with contextlib.suppress(OSError):
+                stale.append((path, 1, path.stat().st_size))
+        for db in sorted(self.root.glob(f"*/{_DB_NAME}")):
+            if db.parent.name != self.salt:
+                stale.append((db.parent, *_db_totals(db)))
+        return stale
 
     def stats(self) -> StoreStats:
-        index = self._scan_index()
-        stale = [pair for salt, pair in index.items() if salt != self.salt]
+        entries, nbytes = self._totals()
+        stale = self._stale()
         counters = self.persisted_counters()
         for key in _COUNTER_KEYS:
             counters[key] += getattr(self, key)
+        generations = {p.relative_to(self.root).parts[0] for p, count, _ in stale if count}
         return StoreStats(
             root=str(self.root),
             salt=self.salt,
-            entries=index.get(self.salt, [0, 0])[0],
-            bytes=sum(pair[1] for pair in index.values()),
-            stale_entries=sum(pair[0] for pair in stale),
-            generations_orphaned=len(stale),
+            entries=entries,
+            bytes=nbytes + sum(size for _, _, size in stale),
+            stale_entries=sum(count for _, count, _ in stale),
+            generations_orphaned=len(generations - {self.salt}),
             **counters,
         )
 
     # ------------------------------------------------------------------
-    # Size-bounded LRU eviction.
-    # ------------------------------------------------------------------
     def total_bytes(self) -> int:
-        """Store size across all generations: this process's running
-        total, seeded by a scan at first use."""
-        with self._total_lock:
-            if self._total_bytes is None:
-                self._total_bytes = sum(pair[1] for pair in self._scan_index().values())
-            return self._total_bytes
-
-    def _protected(self) -> frozenset[str]:
-        if self.protect is None:
-            return frozenset()
-        try:
-            return frozenset(self.protect())
-        except Exception:  # noqa: BLE001 - protection must never break puts
-            return frozenset()
+        """Store size across all generations: the database's running
+        total plus the stale files'."""
+        return self._totals()[1] + sum(size for _, _, size in self._stale())
 
     def _maybe_evict(self) -> None:
-        if self.max_bytes is None or self.total_bytes() <= self.max_bytes:
+        if self._stale_bytes is None:
+            self._stale_bytes = sum(size for _, _, size in self._stale())
+        if self._totals()[1] + self._stale_bytes <= self.max_bytes:
             return
-        self.evict_to(self.max_bytes, protected=self._protected())
+        try:
+            protected = frozenset(self.protect() if self.protect else ())
+        except Exception:  # noqa: BLE001 - protection must never break puts
+            protected = frozenset()
+        self.evict_to(self.max_bytes, protected=protected)
 
-    def evict_to(
-        self,
-        max_bytes: int,
-        *,
-        protected: Collection[str] | Iterable[str] = (),
-    ) -> tuple[int, int]:
-        """Evict least-recently-used entries until the store (all
-        generations) fits in ``max_bytes``.  Returns ``(evicted,
-        freed_bytes)``.
-
-        Ordered by mtime ascending (hits refresh mtime, so this is LRU;
-        stale-generation entries are naturally old and go first).
-        Digests in ``protected`` — e.g. the serve daemon's in-flight
-        set — are never removed, even if the bound cannot be met without
-        them.  Vanished files (a concurrent evictor) are skipped, not
-        errors.  The walk resets :meth:`total_bytes`.
+    def evict_to(self, max_bytes: int, *, protected: Iterable[str] = ()) -> tuple[int, int]:
+        """Evict until the store (all generations) fits in
+        ``max_bytes``; returns ``(evicted, freed_bytes)``.  Stale content
+        goes first, then rows in order of ``used`` (set by puts and by
+        hits, which are flushed first: LRU).  Digests in ``protected``
+        are never removed, even if the bound cannot be met without them.
         """
         if max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         protected = frozenset(protected)
-        candidates: list[tuple[float, str, int, Path]] = []
-        total = 0
-        for _, path in self.iter_entries():
-            try:
-                st = path.stat()
-            except OSError:
-                continue
-            total += st.st_size
-            candidates.append((st.st_mtime, path.stem, st.st_size, path))
+        self.flush_counters()
+        stale = self._stale()
+        stale_bytes = sum(size for _, _, size in stale)
+        excess = self._totals()[1] + stale_bytes - max_bytes
         evicted = freed = 0
-        if total > max_bytes:
-            candidates.sort(key=lambda c: (c[0], c[1]))
-            for _, digest, size, path in candidates:
-                if total - freed <= max_bytes:
-                    break
-                if digest in protected:
-                    continue
-                try:
-                    path.unlink()
-                except OSError:
-                    continue
-                evicted += 1
-                freed += size
-                self.evictions += 1
-                if _host.active is not None:
-                    _host.active.metrics.counter("store.evictions").inc()
-        with self._total_lock:
-            self._total_bytes = total - freed
+        for path, count, size in stale:
+            if excess <= 0:
+                break
+            if path.is_dir():
+                shutil.rmtree(path, ignore_errors=True)
+            else:
+                path.unlink(missing_ok=True)
+                with contextlib.suppress(OSError):
+                    path.parent.rmdir()  # the shard, once empty
+            evicted, freed, excess = evicted + count, freed + size, excess - size
+        self._stale_bytes = stale_bytes - freed
+        victims: list[tuple[str]] = []
+        if excess > 0 and self._db.exists():
+            try:
+                with self._transaction() as conn:
+                    lru = "SELECT digest, length(body) FROM cells ORDER BY used, digest"
+                    lru = conn.execute(lru)
+                    for digest, size in lru:
+                        if excess <= 0:
+                            break
+                        if digest not in protected:
+                            victims.append((digest,))
+                            freed, excess = freed + size, excess - size
+                    lru.close()
+                    conn.executemany("DELETE FROM cells WHERE digest = ?", victims)
+            except (sqlite3.Error, OSError) as exc:
+                raise StoreError(f"cannot evict from the store at {self.root}: {exc}") from exc
+        evicted += len(victims)
+        with self._lock:
+            self.evictions += evicted
+        if _host.active is not None and evicted:
+            _host.active.metrics.counter("store.evictions").inc(evicted)
         return evicted, freed
 
     def clear(self) -> int:
-        """Delete every cached entry (all generations).  Returns the
-        count."""
-        removed = sum(1 for _ in self.iter_entries())
+        """Delete every cached entry (all generations); returns the count."""
+        removed = self._totals()[0] + sum(count for _, count, _ in self._stale())
         if self.root.is_dir():
             shutil.rmtree(self.root)
-        self._total_bytes = None
         return removed

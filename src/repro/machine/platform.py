@@ -9,6 +9,7 @@ platform.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..net.topology import Topology
 from .cpu import CpuModel
@@ -119,7 +120,15 @@ class Platform:
         when :attr:`shm_reachable` — attaching an ``shm`` model to a
         flat (or one-rank-per-node) configuration changes nothing the
         simulator prices, so it must not orphan cached results either.
+
+        Computed once per instance: a platform is frozen and its
+        ``tuning.quirks`` is never mutated, and the ``with_*`` copies
+        are new instances with their own value.
         """
+        return self._fingerprint
+
+    @cached_property
+    def _fingerprint(self) -> str:
         from .fingerprint import digest_of
 
         payload = {

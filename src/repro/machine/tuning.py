@@ -97,7 +97,9 @@ class MpiTuning:
     Quirks
     ------
     quirks:
-        Named installation oddities.  Recognized keys:
+        Named installation oddities, never mutated after construction
+        (platform fingerprints are computed once per instance; derive a
+        changed tuning with ``dataclasses.replace``).  Recognized keys:
 
         ``"packed_eager_limit_factor"``
             Multiplier on the eager limit seen by sends of packed

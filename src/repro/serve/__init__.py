@@ -4,8 +4,8 @@ Turns sweeps from one-shot CLI batches into a service: an asyncio
 daemon (``repro serve``) exposes a small HTTP/JSON API over the
 content-addressed execution engine, deduplicates identical in-flight
 cell digests across concurrent clients (single execution, fan-out of
-awaiters), shards results on disk through
-:class:`~repro.exec.ResultStore`, and re-prices incrementally — a
+awaiters), persists results through :class:`~repro.exec.ResultStore`
+(one SQLite database per model version), and re-prices incrementally — a
 request carrying a perturbed platform fingerprint re-executes only the
 invalidated digests and reports ``reused``/``recomputed``/``deduped``
 counts per job.  The daemon prices one model version, its own.

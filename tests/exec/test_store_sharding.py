@@ -1,21 +1,28 @@
-"""The sharded result store: fan-out layout, atomic puts under thread
-contention, LRU eviction (with in-flight protection), and sizes that
-always agree with a directory scan."""
+"""The result store's database: its layout, atomic puts under thread
+and process contention, fork safety, LRU eviction (with in-flight
+protection), and sizes that always agree with a fresh SQL sum."""
 
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.core import TimingPolicy, strided_for_bytes
-from repro.exec import CellSpec, ResultStore, execute_spec
+from repro.exec import CellSpec, Executor, ResultStore, execute_spec
 from repro.machine import get_platform
 from repro.machine.fingerprint import MODEL_VERSION
+
+from .test_store import sql
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 try:
     from hypothesis import given, settings
@@ -46,17 +53,36 @@ def outcome_of(size: int):
     return _OUTCOMES[size]
 
 
+def sql_totals(root) -> tuple[int, int]:
+    """``(entries, bytes)`` by a fresh count and sum over the rows."""
+    [(entries, nbytes)] = sql(root, "SELECT COUNT(*), TOTAL(length(body)) FROM cells")
+    return entries, int(nbytes)
+
+
+def stored(root, spec: CellSpec) -> bool:
+    return bool(sql(root, "SELECT 1 FROM cells WHERE digest = ?", spec.digest))
+
+
+def size_of(root, spec: CellSpec) -> int:
+    return sql(root, "SELECT length(body) FROM cells WHERE digest = ?", spec.digest)[0][0]
+
+
 # ----------------------------------------------------------------------
-# Shard layout
+# Layout
 # ----------------------------------------------------------------------
-def test_put_lands_in_the_two_hex_shard(tmp_path):
+def test_put_lands_in_the_generation_database(tmp_path):
     store = ResultStore(tmp_path)
     spec = spec_of(2048)
-    path = store.put(spec, outcome_of(2048))
-    assert path == tmp_path / MODEL_VERSION / spec.digest[:2] / f"{spec.digest}.json"
-    assert path.is_file()
-    # No temp files survive the atomic rename.
-    assert not list(path.parent.glob("*.tmp.*"))
+    store.put(spec, outcome_of(2048))
+    generation = tmp_path / MODEL_VERSION
+    assert [p.name for p in tmp_path.iterdir()] == [MODEL_VERSION]
+    # One file and its journal; no directory per cell or per shard.
+    assert {p.name for p in generation.iterdir()} <= {
+        "cells.sqlite", "cells.sqlite-wal", "cells.sqlite-shm",
+    }
+    [(body,)] = sql(tmp_path, "SELECT body FROM cells WHERE digest = ?", spec.digest)
+    assert body.endswith(b"}\n")
+    assert json.loads(body) == store.read_digest(spec.digest)
 
 
 # ----------------------------------------------------------------------
@@ -80,7 +106,7 @@ def test_contended_puts_of_one_digest_stay_atomic(tmp_path):
     for t in threads:
         t.join()
     # The entry is whole (never a torn mix of two writers) ...
-    data = json.loads(stores[0].path_for(spec).read_text())
+    data = stores[0].read_digest(spec.digest)
     assert data["times_hex"] == [t.hex() for t in outcome.times]
     # ... and it is the only one.
     assert ResultStore(tmp_path).stats().entries == 1
@@ -102,9 +128,8 @@ def test_contended_puts_of_distinct_digests_all_land(tmp_path):
         t.join()
     merged = ResultStore(tmp_path)
     assert merged.stats().entries == len(SIZES)
-    # The sidecar merge is documented advisory (racing flushers may
-    # lose increments); the cells themselves must never be lost.
-    assert 1 <= merged.persisted_counters()["writes"] <= len(SIZES)
+    # Flushes are atomic increments: racing flushers lose nothing.
+    assert merged.persisted_counters()["writes"] == len(SIZES)
     for size in SIZES:
         assert merged.get(spec_of(size)) is not None
 
@@ -134,34 +159,38 @@ def test_a_shared_store_keeps_its_byte_total_under_contended_puts(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    entries, nbytes = ResultStore(tmp_path)._scan_index()[store.salt]
+    entries, nbytes = sql_totals(tmp_path)
     assert entries == len(sizes)
-    assert store.total_bytes() == nbytes
+    assert store.stats().bytes == store.total_bytes() == nbytes
+    assert store.flush_counters()["writes"] == 20 * len(sizes)
 
 
 # ----------------------------------------------------------------------
 # LRU eviction
 # ----------------------------------------------------------------------
+def age(root, spec: CellSpec, used: float) -> None:
+    sql(root, "UPDATE cells SET used = ? WHERE digest = ?", used, spec.digest)
+
+
 def _aged_store(tmp_path) -> tuple[ResultStore, list[CellSpec]]:
-    """A store whose entries have strictly increasing mtimes, oldest
-    first in the returned spec list."""
+    """A store whose entries were used at strictly increasing times,
+    oldest first in the returned spec list."""
     store = ResultStore(tmp_path)
     specs = [spec_of(size) for size in SIZES]
-    base = 1_000_000_000
-    for age, (size, spec) in enumerate(zip(SIZES, specs)):
-        path = store.put(spec, outcome_of(size))
-        os.utime(path, (base + age, base + age))
+    for when, (size, spec) in enumerate(zip(SIZES, specs)):
+        store.put(spec, outcome_of(size))
+        age(tmp_path, spec, 1_000_000_000 + when)
     return store, specs
 
 
 def test_evict_to_removes_least_recently_used_first(tmp_path):
     store, specs = _aged_store(tmp_path)
-    sizes = [store.path_for(s).stat().st_size for s in specs]
+    sizes = [size_of(tmp_path, s) for s in specs]
     keep_last_two = sizes[-1] + sizes[-2]
     evicted, freed = store.evict_to(keep_last_two)
     assert evicted == len(specs) - 2
     assert freed == sum(sizes[:-2])
-    survivors = [s for s in specs if store.path_for(s).is_file()]
+    survivors = [s for s in specs if stored(tmp_path, s)]
     assert survivors == specs[-2:]
     assert store.stats().entries == 2
     assert store.evictions == evicted
@@ -171,11 +200,11 @@ def test_a_hit_refreshes_recency(tmp_path):
     store, specs = _aged_store(tmp_path)
     # Touch the oldest entry through the public read path ...
     assert store.get(specs[0]) is not None
-    sizes = [store.path_for(s).stat().st_size for s in specs]
+    sizes = [size_of(tmp_path, s) for s in specs]
     evicted, _ = store.evict_to(sizes[0] + sizes[-1])
     # ... and it now outlives everything but the newest write.
-    assert store.path_for(specs[0]).is_file()
-    assert store.path_for(specs[-1]).is_file()
+    assert stored(tmp_path, specs[0])
+    assert stored(tmp_path, specs[-1])
     assert evicted == len(specs) - 2
 
 
@@ -184,7 +213,7 @@ def test_protected_digests_survive_eviction(tmp_path):
     protected = specs[0].digest  # oldest: first in eviction order
     evicted, _ = store.evict_to(0, protected=[protected])
     assert evicted == len(specs) - 1
-    assert store.path_for(specs[0]).is_file()
+    assert stored(tmp_path, specs[0])
     # The bound was unreachable without the protected entry; the store
     # holds exactly that entry now.
     assert store.stats().entries == 1
@@ -193,13 +222,13 @@ def test_protected_digests_survive_eviction(tmp_path):
 def test_max_bytes_bound_evicts_on_put_but_spares_the_protect_set(tmp_path):
     inflight = {spec_of(SIZES[0]).digest}
     store = ResultStore(tmp_path, max_bytes=1, protect=lambda: inflight)
-    first = store.put(spec_of(SIZES[0]), outcome_of(SIZES[0]))
-    os.utime(first, (1_000_000_000, 1_000_000_000))  # oldest by far
+    store.put(spec_of(SIZES[0]), outcome_of(SIZES[0]))
+    age(tmp_path, spec_of(SIZES[0]), 1_000_000_000)  # oldest by far
     store.put(spec_of(SIZES[1]), outcome_of(SIZES[1]))
     # The newer, unprotected entry was sacrificed; the in-flight one
     # survived despite being least recently used.
-    assert first.is_file()
-    assert not store.path_for(spec_of(SIZES[1])).is_file()
+    assert stored(tmp_path, spec_of(SIZES[0]))
+    assert not stored(tmp_path, spec_of(SIZES[1]))
     assert store.evictions >= 1
 
 
@@ -224,7 +253,75 @@ def test_cache_clear_evict_to_cli(tmp_path, capsys, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Sizes agree with a scan
+# Other processes
+# ----------------------------------------------------------------------
+def test_a_sweep_in_another_process_and_local_puts_share_one_store(tmp_path):
+    """A ``repro sweep`` subprocess writes into the root while this
+    process puts: every cell lands, no ``database is locked`` escapes,
+    and the persisted counters sum both writers exactly."""
+    out = tmp_path / "sweep.json"
+    root = tmp_path / "store"
+    env = dict(os.environ, PYTHONPATH=str(SRC), REPRO_CACHE_DIR=str(root))
+    stderr = tmp_path / "stderr"
+    with open(stderr, "w") as err:
+        sweep = subprocess.Popen(
+            [sys.executable, "-m", "repro", "sweep", "--platform", "skx-impi",
+             "--iterations", "2", "--no-flush", "--jobs", "1", "--out", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=err,
+        )
+    store = ResultStore(root)
+    outcomes = {size: outcome_of(size) for size in SIZES}
+    puts = 0
+    while sweep.poll() is None or puts < len(SIZES):
+        size = SIZES[puts % len(SIZES)]
+        store.put(spec_of(size), outcomes[size])
+        puts += 1
+    store.flush_counters()
+    assert sweep.wait(timeout=120) == 0, stderr.read_text()
+    assert "locked" not in stderr.read_text()
+    swept = len(json.loads(out.read_text())["measurements"])
+    fresh = ResultStore(root)
+    assert fresh.stats().entries == sql_totals(root)[0] == swept + len(SIZES)
+    counters = fresh.persisted_counters()
+    assert counters["writes"] == swept + puts
+    assert counters["misses"] == swept and counters["hits"] == 0
+
+
+def _put_in_child(store: ResultStore, size: int, parents: int) -> None:
+    store.put(spec_of(size), outcome_of(size))
+    assert store.get(spec_of(size)) is not None
+    # The child wrote through a connection of its own, not its copy of
+    # the parent's (which stays alive, untouched, at the same address).
+    assert id(store._connection(create=False)) != parents
+
+
+def test_a_pool_forked_after_the_database_opened_leaves_it_usable(tmp_path):
+    """The pool forks after the parent's store opened its database; the
+    parent keeps reading and writing after the pool closes, and a child
+    that uses the inherited store opens a connection of its own."""
+    store = ResultStore(tmp_path)
+    first = spec_of(SIZES[0])
+    store.put(first, outcome_of(SIZES[0]))
+    with Executor(jobs=2, cache=store) as executor:
+        results = executor.execute_batch([spec_of(size) for size in SIZES[1:4]])
+    assert executor.cells_executed == 3 and not any(cached for _, cached in results)
+    assert store.get(first) is not None
+    store.put(spec_of(SIZES[4]), outcome_of(SIZES[4]))
+    parents = id(store._connection(create=False))
+    child = multiprocessing.get_context("fork").Process(
+        target=_put_in_child, args=(store, SIZES[5], parents)
+    )
+    child.start()
+    child.join(timeout=60)
+    assert child.exitcode == 0
+    assert store.get(spec_of(SIZES[5])) is not None
+    store.put(first, outcome_of(SIZES[0]))
+    assert sql_totals(tmp_path)[0] == ResultStore(tmp_path).stats().entries == len(SIZES)
+    assert sql(tmp_path, "PRAGMA integrity_check") == [("ok",)]
+
+
+# ----------------------------------------------------------------------
+# Sizes agree with a fresh sum
 # ----------------------------------------------------------------------
 if HAVE_HYPOTHESIS:
 
@@ -252,9 +349,10 @@ if HAVE_HYPOTHESIS:
                 store.get(spec_of(arg))
             else:
                 store.evict_to(arg)
-        scan = ResultStore(tmp)._scan_index()
-        entries, nbytes = scan.get(store.salt, [0, 0])
+        if not (tmp / MODEL_VERSION).exists():
+            entries, nbytes = 0, 0
+        else:
+            entries, nbytes = sql_totals(tmp)
         stats = store.stats()
         assert (stats.entries, stats.bytes) == (entries, nbytes)
         assert store.total_bytes() == nbytes
-        assert len(list(store.iter_entries())) == entries

@@ -283,6 +283,18 @@ def test_an_unwritable_store_is_one_error_line(tmp_path):
     assert str(blocker / "store") in line and "--no-cache" in line
 
 
+def test_a_garbage_store_database_is_one_error_line(tmp_path):
+    """A ``cells.sqlite`` overwritten with garbage: every read misses, so
+    the first put is the one that fails, once."""
+    from repro.machine.fingerprint import MODEL_VERSION
+
+    (tmp_path / "store" / MODEL_VERSION).mkdir(parents=True)
+    (tmp_path / "store" / MODEL_VERSION / "cells.sqlite").write_bytes(b"garbage" * 1000)
+    line = _one_error_line(["sweep", "--quick", "--platform", "ideal", "--jobs", "1"],
+                           tmp_path, tmp_path / "store")
+    assert str(tmp_path / "store") in line and "not a database" in line
+
+
 def test_an_unreachable_daemon_is_one_error_line(tmp_path):
     import socket
 

@@ -158,6 +158,40 @@ def test_compile_matches_a_local_sweep(ideal):
 # ----------------------------------------------------------------------
 # Cell encoding
 # ----------------------------------------------------------------------
+def test_a_48_cell_request_fingerprints_each_platform_once(monkeypatch):
+    """Every cell digest folds in its platform's fingerprint; a platform
+    instance canonicalizes its models once, not once per cell."""
+    from repro.machine import fingerprint
+
+    real = fingerprint.digest_of
+    platforms = []
+
+    def spy(obj):
+        if isinstance(obj, dict) and "memory" in obj:
+            platforms.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(fingerprint, "digest_of", spy)
+    request = SweepRequest.from_json(
+        {
+            "platforms": ["skx-impi", {"name": "skx-impi", "eager_limit": 5_120}],
+            "sizes": [1_008, 31_616, 1_000_000],
+            "schemes": [
+                "reference", "copying", "buffered", "vector", "subarray",
+                "onesided", "packing-element", "packing-vector",
+            ],
+        }
+    )
+    compiled = request.compile()
+    digests = {spec.digest for sweep in compiled for spec in sweep.specs}
+    assert len(digests) == 48
+    assert len(platforms) == len(compiled) == 2
+    # The memo is the digest itself: recomputing it from scratch agrees.
+    monkeypatch.undo()
+    for sweep in compiled:
+        assert sweep.platform.fingerprint() == sweep.platform.with_name("x").fingerprint()
+
+
 def test_cell_wire_roundtrip_is_bit_exact(ideal):
     spec = CellSpec(
         scheme="copying",

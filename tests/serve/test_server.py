@@ -13,7 +13,7 @@ import pytest
 from repro.core.runner import run_sweep
 from repro.core.sweep import SweepConfig
 from repro.core.timing import TimingPolicy
-from repro.exec import Executor, WorkerPool
+from repro.exec import Executor, ResultStore, WorkerPool
 from repro.machine.fingerprint import MODEL_VERSION
 from repro.serve import ServeClient, ServeError, ServerThread, submit_sweep
 from repro.serve.server import MAX_BODY_BYTES
@@ -241,6 +241,8 @@ def test_event_stream_ends_although_a_worker_forked_during_it(tmp_path):
             gate.set()  # the pool forks while this stream is open
             rest = [event["event"] for event in events]
         assert rest[-1] == "done" and rest.count("cell") == 4
+        # The daemon's store (open before the fork) persisted them all.
+        assert ResultStore(tmp_path).stats().entries == 4
     finally:
         pool.close()
 

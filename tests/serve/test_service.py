@@ -5,12 +5,16 @@ concurrency assertions."""
 from __future__ import annotations
 
 import asyncio
+import os
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
-from repro.exec import Executor, execute_spec
+from repro.exec import Executor, ResultStore, execute_spec
 from repro.machine.fingerprint import MODEL_VERSION
 from repro.serve import PlatformSpec, SweepRequest, SweepService
 
@@ -184,6 +188,34 @@ def test_stats_report_the_one_store_of_this_model(tmp_path):
     assert store["writes"] == 4 and store["bytes"] > 0
     uncached, _ = asyncio.run(run(False))
     assert uncached.stats()["store"] is None
+
+
+def test_a_cache_clear_under_a_live_service_is_seen_by_the_next_batch(tmp_path):
+    """``repro cache clear`` from another process removes the database
+    under the daemon; the next batch's cells land in a new file that a
+    fresh store reads, not in the unlinked one."""
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(Path(__file__).resolve().parents[2] / "src"),
+        REPRO_CACHE_DIR=str(tmp_path),
+    )
+
+    async def run():
+        service = SweepService(store_root=tmp_path)
+        before = service.submit(make_request(sizes=(2048,)))
+        await before.finished.wait()
+        subprocess.run([sys.executable, "-m", "repro", "cache", "clear"],
+                       env=env, check=True, capture_output=True, timeout=120)
+        after = service.submit(make_request(sizes=(4096,)))
+        await after.finished.wait()
+        return service, before, after
+
+    service, before, after = asyncio.run(run())
+    assert before.recomputed == after.recomputed == 2
+    fresh = ResultStore(tmp_path)
+    assert fresh.stats().entries == service.stats()["store"]["entries"] == 2
+    assert all(fresh.read_digest(digest) is not None for digest in after.cells)
+    assert not any(fresh.read_digest(digest) for digest in before.cells)
 
 
 def test_cache_off_still_dedups_in_flight(tmp_path):
