@@ -426,6 +426,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from .serve import ReproServer
 
@@ -440,6 +441,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
             max_concurrent_jobs=args.max_jobs,
         )
         await server.start()
+        # SIGTERM takes Ctrl-C's path: it cancels this task, so the
+        # finally below drains the jobs and joins the pool workers
+        # instead of leaving them running after the daemon exits.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         # The one line a wrapper script needs: the bound URL (port 0
         # picks a free port, so it must be announced).
         print(f"serving on {server.url}", flush=True)
@@ -451,7 +458,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         print("\nserve: shut down", file=sys.stderr)
     return 0
 

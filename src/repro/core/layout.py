@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..machine.fingerprint import CanonicalOnce
 from ..mpi.buffers import SimBuffer
 from ..mpi.datatypes import (
     DOUBLE,
@@ -25,9 +26,46 @@ __all__ = ["Layout", "StridedLayout", "IrregularLayout", "strided_for_bytes"]
 
 _ELEM = DOUBLE.np_dtype.itemsize  # 8 bytes
 
+#: Largest source, in bytes, served from the per-process ramp.  A larger
+#: one is built for its cell and dropped with it: ``materialize_limit``
+#: is chosen by the caller, and a daemon's pool workers live long.
+RAMP_CAP = 1 << 22
+
+#: The per-process source pattern: read-only doubles with
+#: ``_ramp[i] == i``, a power-of-two count, grown on demand.
+_ramp = np.empty(0, dtype=np.float64)
+
+
+def _build_ramp(nelements: int) -> np.ndarray:
+    """``nelements`` read-only doubles counting up from 0, 64-byte aligned."""
+    ramp = SimBuffer.alloc(nelements * _ELEM, zero=False).view(np.float64)
+    ramp[:] = np.arange(nelements, dtype=np.float64)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _source_pattern(nelements: int) -> np.ndarray:
+    """The first ``nelements`` doubles of the source pattern, read-only.
+
+    Every materialized source and every expected payload reads one
+    per-process ramp, so a strided cell neither fills a source nor
+    builds an index array.  Above :data:`RAMP_CAP` the pattern is built
+    for the caller alone.
+    """
+    global _ramp
+    ramp = _ramp
+    if nelements > ramp.size:
+        size = 1 << (nelements - 1).bit_length()
+        if size * _ELEM > RAMP_CAP:
+            return _build_ramp(nelements)
+        # A thread growing it at the same time may put back a shorter
+        # ramp; that only costs a later rebuild.
+        ramp = _ramp = _build_ramp(size)
+    return ramp[:nelements]
+
 
 @dataclass(frozen=True)
-class Layout:
+class Layout(CanonicalOnce):
     """Base layout: ``nblocks`` blocks of ``blocklen`` doubles each."""
 
     nblocks: int
@@ -68,17 +106,15 @@ class Layout:
         raise NotImplementedError
 
     def make_source(self, materialize: bool) -> SimBuffer:
-        """The source buffer, filled with a recognizable pattern."""
+        """The source buffer: read-only doubles with ``source[i] == i``."""
         if not materialize:
             return SimBuffer.virtual(self.source_bytes)
-        buf = SimBuffer.alloc(self.source_bytes)
-        view = buf.view(np.float64)
-        view[:] = np.arange(view.size, dtype=np.float64)
-        return buf
+        return SimBuffer.from_array(_source_pattern(self.source_elements))
 
     def expected_payload(self) -> np.ndarray:
-        """What a correct transfer delivers (for materialized runs)."""
-        return self.payload_indices().astype(np.float64)
+        """What a correct transfer delivers (for materialized runs): the
+        source's payload elements, in pack order."""
+        return _source_pattern(self.source_elements)[self.payload_indices()]
 
 
 @dataclass(frozen=True)
@@ -115,6 +151,13 @@ class StridedLayout(Layout):
     def payload_indices(self) -> np.ndarray:
         base = np.arange(self.nblocks, dtype=np.int64) * self.stride
         return (base[:, None] + np.arange(self.blocklen, dtype=np.int64)[None, :]).reshape(-1)
+
+    def expected_payload(self) -> np.ndarray:
+        # The first ``blocklen`` columns of the source as ``nblocks`` rows
+        # of ``stride``: a view for single-double or dense blocks (numpy
+        # copies other shapes), and no index array either way.
+        rows = _source_pattern(self.source_elements).reshape(self.nblocks, self.stride)
+        return rows[:, : self.blocklen].reshape(-1)
 
 
 @dataclass(frozen=True)

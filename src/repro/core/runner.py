@@ -65,14 +65,14 @@ def sweep_specs(platform: Platform, config: SweepConfig) -> list:
     return [
         CellSpec(
             scheme=scheme_key,
-            layout=config.layout_for(size),
+            layout=layout,
             platform=platform,
             policy=config.policy,
             materialize=config.materialize(size),
             concurrent_streams=config.concurrent_streams,
         )
         for scheme_key in config.schemes
-        for size in config.sizes
+        for size, layout in zip(config.sizes, config.layouts)
     ]
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -59,6 +60,13 @@ class SweepConfig:
 
     def layout_for(self, message_bytes: int) -> Layout:
         return self.layout_factory(message_bytes)
+
+    @cached_property
+    def layouts(self) -> tuple[Layout, ...]:
+        """One layout per size, built once per config: every cell of a
+        size shares it, across schemes and platforms, so each cell
+        digest reuses its memoized canonical form."""
+        return tuple(self.layout_for(size) for size in self.sizes)
 
     @property
     def layout_factory_id(self) -> str:

@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..machine.fingerprint import CanonicalOnce
+
 __all__ = ["TimingPolicy", "TimingStats", "summarize"]
 
 
 @dataclass(frozen=True)
-class TimingPolicy:
+class TimingPolicy(CanonicalOnce):
     """How a single (scheme, size) cell is measured."""
 
     #: Ping-pongs per measurement (the paper uses 20).

@@ -62,15 +62,17 @@ class CellSpec:
         Everything that can change the outcome is folded in; nothing
         else is (a renamed platform with identical pricing still
         contributes its name — a deliberate conservative choice, since
-        experiments name their variants by what they changed).
+        experiments name their variants by what they changed).  The
+        layout and policy enter as their memoized canonical forms, so
+        specs that share those instances canonicalize them once.
         """
         return digest_of(
             {
                 "scheme": self.scheme,
-                "layout": self.layout,
+                "layout": self.layout.canonical_form,
                 "platform_name": self.platform.name,
                 "platform": self.platform.fingerprint(),
-                "policy": self.policy,
+                "policy": self.policy.canonical_form,
                 "materialize": self.materialize,
                 "concurrent_streams": self.concurrent_streams,
             }

@@ -25,9 +25,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from functools import cached_property
 from typing import Any
 
-__all__ = ["MODEL_VERSION", "canonical", "digest_of"]
+__all__ = ["MODEL_VERSION", "CanonicalOnce", "canonical", "digest_of"]
 
 #: The cache generation of the pricing model (see module docstring).
 #: History: v1 — first content-addressed store (spec/execute split).
@@ -73,3 +74,15 @@ def digest_of(obj: Any) -> str:
     """SHA-256 hex digest of the canonical form of ``obj``."""
     encoded = json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+class CanonicalOnce:
+    """Mixin for frozen dataclasses that many digests fold in:
+    :attr:`canonical_form` is ``canonical(self)``, computed once per
+    instance, as :meth:`~repro.machine.platform.Platform.fingerprint`
+    is.  ``canonical`` is idempotent, so a digest over the form equals
+    one over the instance."""
+
+    @cached_property
+    def canonical_form(self) -> Any:
+        return canonical(self)

@@ -17,6 +17,7 @@ offsets are bytes relative to the communication buffer's origin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -41,6 +42,10 @@ __all__ = [
 #: Above this many total blocks, :func:`replicate` switches from a
 #: Python list of shifted runs to a single vectorized IrregularRuns.
 _REPLICATE_FOLD_LIMIT = 4096
+
+#: Unsigned words by width in bytes; a strided run moves its blocks in
+#: the widest one that divides its block length and stride.
+_WORDS = {width: np.dtype(f"u{width}") for width in (1, 2, 4, 8)}
 
 
 @dataclass(frozen=True)
@@ -142,33 +147,40 @@ class StridedRuns:
         for i in range(self.count):
             yield (self.offset + i * self.stride, self.blocklen)
 
-    def _strided_view(self, buf: np.ndarray) -> np.ndarray:
-        """A (count, blocklen) byte view of the blocks inside ``buf``."""
+    def _word(self) -> np.dtype:
+        """The widest unsigned word (8, 4, 2 or 1 bytes) dividing both
+        ``blocklen`` and ``stride``: the unit the blocks are moved in."""
+        return _WORDS[math.gcd(self.blocklen, self.stride, 8)]
+
+    def _strided_view(self, buf: np.ndarray, word: np.dtype) -> np.ndarray:
+        """The blocks inside ``buf`` as a (count, blocklen / width) view
+        of ``word`` items."""
         start = self.min_offset
-        end = self.max_end
-        window = buf[start:end]
-        first_block = self.offset - start
+        window = buf[start : self.max_end].view(word)
         return np.lib.stride_tricks.as_strided(
-            window[first_block:],
-            shape=(self.count, self.blocklen),
-            strides=(self.stride, 1),
+            window[(self.offset - start) // word.itemsize :],
+            shape=(self.count, self.blocklen // word.itemsize),
+            strides=(self.stride, word.itemsize),
             writeable=buf.flags.writeable,
         )
 
-    def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
+    def _packed_view(self, buf: np.ndarray, offset: int, word: np.dtype) -> np.ndarray:
+        """The same shape over the contiguous side, ``buf[offset:]``."""
         n = self.total_bytes
-        view = self._strided_view(src)
-        # Assign into a (count, blocklen) view of the destination: one
-        # copy.  ``view.reshape(-1)`` would first materialize the
-        # non-contiguous blocks into a temporary.
-        dst[dst_offset : dst_offset + n].reshape(self.count, self.blocklen)[...] = view
-        return n
+        return buf[offset : offset + n].view(word).reshape(self.count, -1)
+
+    def gather(self, src: np.ndarray, dst: np.ndarray, dst_offset: int) -> int:
+        # Assign into a 2-D view of the destination: one copy.
+        # ``view.reshape(-1)`` would first materialize the non-contiguous
+        # blocks into a temporary.
+        word = self._word()
+        self._packed_view(dst, dst_offset, word)[...] = self._strided_view(src, word)
+        return self.total_bytes
 
     def scatter(self, src: np.ndarray, src_offset: int, dst: np.ndarray) -> int:
-        n = self.total_bytes
-        view = self._strided_view(dst)
-        view[...] = src[src_offset : src_offset + n].reshape(self.count, self.blocklen)
-        return n
+        word = self._word()
+        self._strided_view(dst, word)[...] = self._packed_view(src, src_offset, word)
+        return self.total_bytes
 
     def access_pattern(self) -> AccessPattern:
         return AccessPattern(

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.layout import IrregularLayout, StridedLayout, strided_for_bytes
+from repro.core import layout as layout_module
+from repro.core.layout import RAMP_CAP, IrregularLayout, StridedLayout, strided_for_bytes
 from repro.mpi.datatypes import pack_bytes
 
 
@@ -123,3 +124,49 @@ class TestIrregularLayout:
     def test_validation(self):
         with pytest.raises(ValueError):
             IrregularLayout(nblocks=10, jitter=1.0)
+
+
+class TestSourcePattern:
+    """Materialized sources are read-only prefixes of one per-process
+    ramp (``ramp[i] == i``); expected payloads are read from it."""
+
+    def test_materialized_source_is_read_only(self):
+        src = strided_for_bytes(4096).make_source(materialize=True)
+        with pytest.raises(ValueError):
+            src.bytes[0] = 1
+        with pytest.raises(ValueError):
+            src.view(np.float64)[0] = 1.0
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            StridedLayout(nblocks=40, blocklen=1, stride=2),
+            StridedLayout(nblocks=40, blocklen=3, stride=5),
+            StridedLayout(nblocks=40, blocklen=4, stride=4),
+            IrregularLayout(nblocks=40, blocklen=2, stride=6, jitter=0.7),
+            StridedLayout(nblocks=RAMP_CAP // 16, blocklen=1, stride=2),
+            StridedLayout(nblocks=RAMP_CAP // 16 + 1, blocklen=1, stride=2),
+            IrregularLayout(nblocks=RAMP_CAP // 32 + 1, blocklen=1, stride=4, jitter=0.5),
+        ],
+        ids=["paper", "odd", "dense", "irregular", "at-cap", "above-cap", "irregular-above-cap"],
+    )
+    def test_expected_payload_is_the_payload_indices(self, layout):
+        expected = layout.expected_payload()
+        assert np.array_equal(expected, layout.payload_indices().astype(np.float64))
+        source = layout.make_source(materialize=True).view(np.float64)
+        assert np.array_equal(source, np.arange(source.size, dtype=np.float64))
+
+    def test_paper_payload_is_a_view_of_the_source_pattern(self):
+        layout = strided_for_bytes(100_000)
+        source = layout.make_source(materialize=True)
+        assert np.shares_memory(layout.expected_payload(), source.bytes)
+
+    def test_only_sources_up_to_the_cap_are_retained(self):
+        at_cap = StridedLayout(nblocks=RAMP_CAP // 16, blocklen=1, stride=2)
+        above = StridedLayout(nblocks=at_cap.nblocks + 1, blocklen=1, stride=2)
+        assert at_cap.source_bytes == RAMP_CAP < above.source_bytes
+        kept = at_cap.make_source(materialize=True)
+        assert np.shares_memory(kept.bytes, layout_module._ramp)
+        built = above.make_source(materialize=True)
+        assert not np.shares_memory(built.bytes, layout_module._ramp)
+        assert layout_module._ramp.nbytes == RAMP_CAP

@@ -14,6 +14,7 @@ from repro.core import (
     TimingPolicy,
     make_scheme,
     run_pingpong,
+    strided_for_bytes,
 )
 
 
@@ -59,6 +60,14 @@ class TestEverySchemeDelivers:
         assert cell.verified, f"{key} delivered wrong bytes"
         assert cell.stats.n == fast_policy.iterations
         assert cell.time > 0
+
+    @pytest.mark.parametrize("stride", [None, 5])
+    def test_odd_block_lengths_verify(self, key, stride, ideal, fast_policy):
+        """Three-double blocks, at the default stride of six and at an
+        odd one: the receiver still checks every double."""
+        odd = strided_for_bytes(3_000, blocklen=3, stride=stride)
+        cell = run_pingpong(key, odd, ideal, policy=fast_policy, materialize=True)
+        assert cell.verified, f"{key} delivered wrong bytes"
 
     def test_virtual_run_times_match_materialized(self, key, layout, ideal, fast_policy):
         """Materialization is a functional choice only — virtual time

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.mpi.datatypes.runs import (
     ContigRun,
@@ -81,6 +83,47 @@ class TestStridedRuns:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             StridedRuns(offset=0, count=2, blocklen=16, stride=8)
+
+
+@st.composite
+def strided_in_buffers(draw):
+    """A strided run over random bytes, and a packed buffer, each sliced
+    at a random start so that word views are unaligned as often as not.
+    ``unit`` divides the block length and stride, so every word width
+    (and odd lengths and strides at width 1) comes up."""
+    unit = draw(st.sampled_from([1, 2, 4, 8]))
+    blocklen = unit * draw(st.integers(1, 5))
+    count = draw(st.integers(1, 9))
+    stride = (blocklen + unit * draw(st.integers(0, 4))) * draw(st.sampled_from([1, -1]))
+    lead = draw(st.integers(0, 9))
+    offset = lead + (count - 1) * max(0, -stride)
+    run = StridedRuns(offset, count, blocklen, stride)
+    size = run.max_end + draw(st.integers(0, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    src_start = draw(st.integers(0, 7))
+    src = rng.integers(0, 256, src_start + size, dtype=np.uint8)[src_start:]
+    packed_start = draw(st.integers(0, 7))
+    packed_offset = draw(st.integers(0, 9))
+    return run, src, packed_start, packed_offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=strided_in_buffers())
+def test_strided_gather_scatter_equal_the_segment_loop(case):
+    run, src, packed_start, packed_offset = case
+    n = run.total_bytes
+    expected = np.concatenate([src[off : off + length] for off, length in segments_of([run])])
+    packed = np.zeros(packed_start + packed_offset + n + 3, dtype=np.uint8)[packed_start:]
+    assert run.gather(src, packed, packed_offset) == n
+    assert np.array_equal(packed[packed_offset : packed_offset + n], expected)
+    assert not packed[:packed_offset].any() and not packed[packed_offset + n :].any()
+
+    out = np.zeros(packed_start + src.size, dtype=np.uint8)[packed_start:]
+    want = np.zeros_like(out)
+    for off, length in segments_of([run]):
+        want[off : off + length] = src[off : off + length]
+    assert run.scatter(packed, packed_offset, out) == n
+    assert np.array_equal(out, want)
 
 
 class TestIrregularRuns:

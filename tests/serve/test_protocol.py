@@ -192,6 +192,53 @@ def test_a_48_cell_request_fingerprints_each_platform_once(monkeypatch):
         assert sweep.platform.fingerprint() == sweep.platform.with_name("x").fingerprint()
 
 
+def test_a_48_cell_request_canonicalizes_each_layout_and_its_policy_once(monkeypatch):
+    """Every cell digest folds in its layout and policy; the request's
+    specs share one layout per size and one policy, and each instance
+    is canonicalized once, not once per cell."""
+    from repro.core import Layout
+    from repro.machine import fingerprint
+
+    real = fingerprint.canonical
+    seen = []
+
+    def spy(obj):
+        if isinstance(obj, (Layout, TimingPolicy)):
+            seen.append(obj)
+        return real(obj)
+
+    monkeypatch.setattr(fingerprint, "canonical", spy)
+    request = SweepRequest.from_json(
+        {
+            "platforms": ["skx-impi", {"name": "skx-impi", "eager_limit": 5_120}],
+            "sizes": [1_008, 31_616, 1_000_000],
+            "schemes": [
+                "reference", "copying", "buffered", "vector", "subarray",
+                "onesided", "packing-element", "packing-vector",
+            ],
+        }
+    )
+    specs = [spec for sweep in request.compile() for spec in sweep.specs]
+    assert len({spec.digest for spec in specs}) == 48
+    layouts = [obj for obj in seen if isinstance(obj, Layout)]
+    assert sorted(layout.message_bytes for layout in layouts) == [1_008, 31_616, 1_000_000]
+    assert [type(obj) for obj in seen if isinstance(obj, TimingPolicy)] == [TimingPolicy]
+    # The memoized forms digest exactly as the instances themselves do.
+    monkeypatch.undo()
+    for spec in specs:
+        assert spec.digest == fingerprint.digest_of(
+            {
+                "scheme": spec.scheme,
+                "layout": spec.layout,
+                "platform_name": spec.platform.name,
+                "platform": spec.platform.fingerprint(),
+                "policy": spec.policy,
+                "materialize": spec.materialize,
+                "concurrent_streams": spec.concurrent_streams,
+            }
+        )
+
+
 def test_cell_wire_roundtrip_is_bit_exact(ideal):
     spec = CellSpec(
         scheme="copying",

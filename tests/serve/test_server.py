@@ -4,9 +4,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import threading
 from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
@@ -245,6 +251,43 @@ def test_event_stream_ends_although_a_worker_forked_during_it(tmp_path):
         assert ResultStore(tmp_path).stats().entries == 4
     finally:
         pool.close()
+
+
+def test_sigterm_drains_the_daemon_and_joins_its_workers(tmp_path):
+    """SIGTERM takes Ctrl-C's shutdown path: the daemon exits 0, and the
+    workers it forked for a parallel batch exit with it instead of
+    living on under PID 1."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), REPRO_CACHE_DIR=str(tmp_path / "store"))
+    daemon = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0", "--jobs", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    workers: list[int] = []
+    try:
+        line = daemon.stdout.readline()
+        assert line.startswith("serving on "), line
+        client = ServeClient(line.split()[-1], timeout=60.0)
+        done = client.request_json("POST", "/sweep?wait=1", sweep_body(sizes=[1024, 2048]))
+        assert done["status"] == "done" and done["recomputed"] == 4
+        workers = [
+            int(pid)
+            for children in Path(f"/proc/{daemon.pid}/task").glob("*/children")
+            for pid in children.read_text().split()
+        ]
+        assert len(workers) == 2
+        daemon.send_signal(signal.SIGTERM)
+        assert daemon.wait(timeout=10) == 0
+        assert not [pid for pid in workers if Path(f"/proc/{pid}").exists()]
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+        daemon.wait()
+        daemon.stdout.close()
+        for pid in workers:  # orphans a failed shutdown left behind
+            if Path(f"/proc/{pid}").exists():
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def test_client_refuses_unreachable_daemon():
