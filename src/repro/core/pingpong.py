@@ -47,6 +47,12 @@ class PingPongResult:
     #: Whether this cell was served from the on-disk result store
     #: (provenance only — cached and fresh cells are bit-identical).
     cached: bool = field(default=False, compare=False)
+    #: The job's eager/rendezvous choices (``JobResult.eager_choices``);
+    #: ``None`` for ``auto``, whose selector also asks the eager limit,
+    #: outside the job, while it prices every candidate.
+    eager_choices: dict[tuple[int, bool, bool], bool] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def time(self) -> float:
@@ -180,4 +186,5 @@ def run_pingpong(
         tracer=job.tracer,
         metrics=job.metrics,
         virtual_time=job.virtual_time,
+        eager_choices=None if scheme.key == "auto" else job.eager_choices,
     )

@@ -66,12 +66,28 @@ class CellSpec:
         layout and policy enter as their memoized canonical forms, so
         specs that share those instances canonicalize them once.
         """
+        return self._keyed(self.platform.fingerprint())
+
+    @cached_property
+    def base_digest(self) -> str:
+        """:attr:`digest` with the tuning's eager limit left out.
+
+        Cells that differ only in eager limit share it.  Their runs can
+        first diverge where a send asks the limit (``CostModel.
+        uses_eager``), so a cell whose limit answers every choice an
+        executed twin recorded (``CellOutcome.eager_choices``) has that
+        twin's outcome, bit for bit.  Everything else, the platform name
+        included, keys it as it keys :attr:`digest`.
+        """
+        return self._keyed(self.platform.base_fingerprint)
+
+    def _keyed(self, platform_fingerprint: str) -> str:
         return digest_of(
             {
                 "scheme": self.scheme,
                 "layout": self.layout.canonical_form,
                 "platform_name": self.platform.name,
-                "platform": self.platform.fingerprint(),
+                "platform": platform_fingerprint,
                 "policy": self.policy.canonical_form,
                 "materialize": self.materialize,
                 "concurrent_streams": self.concurrent_streams,
@@ -128,12 +144,18 @@ class CellOutcome:
 
     Carries the raw per-iteration times (not derived stats — those are
     recomputed on load) plus the determinism fingerprint fields.
+    ``eager_choices`` (see ``CostModel``) travels only from a fresh run
+    to its caller: it is neither stored nor sent, and ``None`` for store
+    hits and ``auto`` cells.
     """
 
     times: tuple[float, ...]
     verified: bool
     events: int
     virtual_time: float
+    eager_choices: dict[tuple[int, bool, bool], bool] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 def execute_spec(spec: CellSpec) -> CellOutcome:
@@ -152,4 +174,5 @@ def execute_spec(spec: CellSpec) -> CellOutcome:
         verified=cell.verified,
         events=cell.events,
         virtual_time=cell.virtual_time,
+        eager_choices=cell.eager_choices,
     )

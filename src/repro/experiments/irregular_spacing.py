@@ -30,7 +30,7 @@ def run_irregular_spacing_experiment(
             layout=IrregularLayout(nblocks=nblocks, blocklen=1, stride=4, jitter=jitter),
             platform=plat,
             policy=policy,
-            materialize=quick is False and nblocks <= 100_000,
+            materialize=nblocks <= 100_000,
         )
         for jitter in jitters
     ]

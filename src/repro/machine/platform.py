@@ -131,18 +131,37 @@ class Platform:
     def _fingerprint(self) -> str:
         from .fingerprint import digest_of
 
+        return digest_of(self._priced(self.tuning))
+
+    @cached_property
+    def base_fingerprint(self) -> str:
+        """:meth:`fingerprint` with the tuning's ``eager_limit`` left out.
+
+        Platforms that differ only in eager limit share it; a cell keyed
+        by it must still check each eager choice against the limit (see
+        :attr:`repro.exec.CellSpec.base_digest`).  Computed once per
+        instance, like the fingerprint.
+        """
+        from .fingerprint import canonical, digest_of
+
+        tuning = canonical(self.tuning)
+        del tuning["eager_limit"]
+        return digest_of(self._priced(tuning))
+
+    def _priced(self, tuning: object) -> dict[str, object]:
+        """What the fingerprints digest, with ``tuning`` in its slot."""
         payload = {
             "memory": self.memory,
             "network": self.network,
             "cpu": self.cpu,
-            "tuning": self.tuning,
+            "tuning": tuning,
             "noise": self.noise,
         }
         if self.topology is not None and not self.topology.is_flat:
             payload["topology"] = self.topology
         if self.shm_reachable:
             payload["shm"] = self.shm
-        return digest_of(payload)
+        return payload
 
     def describe(self) -> str:
         """Multi-line summary used by the CLI's ``platforms`` command."""

@@ -20,7 +20,7 @@ analysis, made executable:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..machine.access import AccessPattern
 from ..machine.platform import Platform
@@ -47,10 +47,19 @@ class CostModel:
 
     ``concurrent_streams`` models several communicating pairs sharing a
     node's injection bandwidth (the section 4.7 all-cores experiment).
+
+    ``eager_choices`` records every answer :meth:`uses_eager` gave this
+    job, keyed by its question ``(nbytes, packed, derived)``.  That
+    method is the only place a job reads the tuning's eager limit, so
+    another limit that answers each recorded question the same way runs
+    the job to the same outcome (the serve daemon re-prices by this).
     """
 
     platform: Platform
     concurrent_streams: int = 1
+    eager_choices: dict[tuple[int, bool, bool], bool] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # Network
@@ -197,7 +206,9 @@ class CostModel:
     # Protocol selection
     # ------------------------------------------------------------------
     def uses_eager(self, nbytes: int, *, packed: bool, derived: bool) -> bool:
-        return self.platform.tuning.uses_eager(nbytes, packed=packed, derived=derived)
+        eager = self.platform.tuning.uses_eager(nbytes, packed=packed, derived=derived)
+        self.eager_choices[nbytes, packed, derived] = eager
+        return eager
 
     def rendezvous_hop_time(self) -> float:
         """One-way time of an RTS or CTS control message."""

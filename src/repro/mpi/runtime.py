@@ -18,7 +18,7 @@ per rank, exactly like an ``mpiexec``-launched script::
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..machine.platform import Platform
@@ -237,6 +237,11 @@ class JobResult:
     tracer: Tracer
     #: The job's metrics registry (always populated).
     metrics: MetricsRegistry | None = None
+    #: Every eager/rendezvous choice of the job's network sends,
+    #: ``{(nbytes, packed, derived): eager}`` (see ``CostModel``).
+    eager_choices: dict[tuple[int, bool, bool], bool] | None = field(
+        default=None, compare=False
+    )
 
     @property
     def elapsed(self) -> float:
@@ -325,4 +330,5 @@ def run_mpi(
         events=kernel.events_processed,
         tracer=kernel.tracer,
         metrics=world.metrics,
+        eager_choices=world.cost.eager_choices,
     )

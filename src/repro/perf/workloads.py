@@ -773,7 +773,9 @@ def _serve_requests(rounds: int) -> list:
     """The per-round request bodies: a shared hot grid in round 0, then
     a perturbed-eager-limit variant per later round — every round prices
     fresh digests while all clients inside a round collide on the same
-    ones."""
+    ones.  Round 1's limit flips only the 2048 B cells' eager choices
+    against round 0's, and round 2's flips none, so the later rounds'
+    cells are mostly ``equivalent``: shared from executed twins."""
     from ..serve import PlatformSpec, SweepRequest
 
     requests = []

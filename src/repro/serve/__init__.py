@@ -6,9 +6,10 @@ content-addressed execution engine, deduplicates identical in-flight
 cell digests across concurrent clients (single execution, fan-out of
 awaiters), persists results through :class:`~repro.exec.ResultStore`
 (one SQLite database per model version), and re-prices incrementally — a
-request carrying a perturbed platform fingerprint re-executes only the
-invalidated digests and reports ``reused``/``recomputed``/``deduped``
-counts per job.  The daemon prices one model version, its own.
+request carrying a perturbed eager limit re-executes only the cells
+whose eager/rendezvous choices it flips, and reports
+``reused``/``recomputed``/``deduped``/``equivalent`` counts per job.  The
+daemon prices one model version, its own.
 
 See ``docs/serving.md`` for the API schema and semantics.
 """

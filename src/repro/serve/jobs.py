@@ -16,13 +16,17 @@ from typing import Any
 
 from .protocol import SweepRequest
 
-__all__ = ["Job", "JobRegistry"]
+__all__ = ["Job", "JobRegistry", "SOURCES"]
 
 #: Job lifecycle: queued -> running -> done | failed.
 QUEUED = "queued"
 RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
+
+#: How a job obtains a cell, the ``source`` of its wire form (see
+#: :func:`~repro.serve.protocol.encode_cell`); each is tallied per job.
+SOURCES = ("reused", "recomputed", "deduped", "equivalent")
 
 
 class Job:
@@ -38,6 +42,7 @@ class Job:
         self.reused = 0
         self.recomputed = 0
         self.deduped = 0
+        self.equivalent = 0
         #: digest -> wire cell dict (protocol.encode_cell form).
         self.cells: dict[str, dict[str, Any]] = {}
         #: Append-only NDJSON event log plus its wakeup signal.
@@ -76,19 +81,21 @@ class Job:
         return batch, cursor + len(batch)
 
     # ------------------------------------------------------------------
+    def tallies(self) -> dict[str, int]:
+        """Cells per source, in :data:`SOURCES` order."""
+        return {source: getattr(self, source) for source in SOURCES}
+
     def record_cell(self, cell: dict[str, Any]) -> None:
-        """Absorb one finished cell (wire form) and tally its source."""
+        """Absorb one finished cell (wire form) and tally its source;
+        a source outside :data:`SOURCES` raises ``ValueError``."""
         digest = cell["digest"]
+        source = cell["source"]
+        if source not in SOURCES:
+            raise ValueError(f"unknown cell source {source!r}")
         if digest in self.cells:
             return
         self.cells[digest] = cell
-        source = cell["source"]
-        if source == "reused":
-            self.reused += 1
-        elif source == "deduped":
-            self.deduped += 1
-        else:
-            self.recomputed += 1
+        setattr(self, source, getattr(self, source) + 1)
         self.emit(
             {
                 "event": "cell",
@@ -108,9 +115,7 @@ class Job:
                 "job": self.id,
                 "status": self.status,
                 **({"error": error} if error else {}),
-                "reused": self.reused,
-                "recomputed": self.recomputed,
-                "deduped": self.deduped,
+                **self.tallies(),
             }
         )
         self.finished.set()
@@ -123,9 +128,7 @@ class Job:
             "status": self.status,
             "total": self.total,
             "completed": self.completed,
-            "reused": self.reused,
-            "recomputed": self.recomputed,
-            "deduped": self.deduped,
+            **self.tallies(),
             "salt": self.request.salt,
             "tags": dict(self.request.tags),
         }

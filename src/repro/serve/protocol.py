@@ -18,8 +18,10 @@ local run.
 Incremental re-pricing falls out of the addressing scheme: a request
 may override a platform's eager limit (``platforms[].eager_limit``),
 which changes the affected cell digests (the platform fingerprint folds
-tuning in), so only the invalidated cells miss the store and
-re-execute.  Untouched digests are served as ``reused``.
+tuning in), so only the invalidated cells miss the store.  Untouched
+digests are served as ``reused``; a missed cell whose eager choices
+the new limit leaves unchanged is served as ``equivalent`` from the
+cell it differs from; only the rest re-execute.
 
 A request's ``salt`` is the model version the client expects.  The
 daemon prices one model, its own ``MODEL_VERSION``; any other salt is
@@ -337,8 +339,11 @@ class SweepRequest:
 def encode_cell(spec: CellSpec, outcome: CellOutcome, *, source: str) -> dict[str, Any]:
     """One finished cell as it crosses the wire.  ``source`` records how
     this job obtained it: ``"reused"`` (store hit), ``"recomputed"``
-    (this job executed it), or ``"deduped"`` (joined another job's
-    in-flight execution)."""
+    (this job executed it), ``"deduped"`` (joined another job's
+    in-flight execution), or ``"equivalent"`` (the outcome of a cell the
+    daemon executed that differs from it only in eager limit, where its
+    own limit answers each of that cell's eager choices alike).  The
+    choices themselves never cross the wire."""
     return {
         "digest": spec.digest,
         "scheme": spec.scheme,

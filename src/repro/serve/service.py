@@ -6,8 +6,11 @@ metrics — and runs every accepted request through the same pipeline:
 
 1. **compile** the request into unique cell digests (protocol layer);
 2. **classify** each digest: ``reused`` (result-store hit), ``deduped``
-   (another job is already executing it — join its future), or *owned*
-   (this job claims it and will execute);
+   (another job is already executing it — join its future),
+   ``equivalent`` (a cell this daemon executed differs from it only in
+   eager limit, and its limit answers each of that cell's eager
+   choices alike — see :class:`ChoiceIndex`), or *owned* (this job
+   claims it and will execute);
 3. **execute** the owned set through a per-job
    :class:`~repro.exec.Executor` on a worker thread (the event loop
    never blocks on simulation), persisting and resolving each cell the
@@ -32,6 +35,7 @@ eviction pass reads (``protect=``) under its own lock.
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable
@@ -40,10 +44,65 @@ from ..exec import CellOutcome, CellSpec, Executor, ResultStore, WorkerPool
 from ..obs import MetricsRegistry
 from ..obs import host as _host
 from .dedup import InFlightTable
-from .jobs import Job, JobRegistry, RUNNING
+from .jobs import SOURCES, Job, JobRegistry, RUNNING
 from .protocol import CompiledSweep, SweepRequest, encode_cell
 
-__all__ = ["SweepService"]
+__all__ = ["ChoiceIndex", "SweepService"]
+
+#: Executed cells a :class:`ChoiceIndex` keeps; past it, the oldest go.
+CHOICE_INDEX_CAP = 10_000
+
+
+class ChoiceIndex:
+    """Executed outcomes by base digest, each with its eager choices.
+
+    A run reads the tuning's eager limit only through
+    ``CostModel.uses_eager`` (its ``eager_choices``), so a cell that
+    differs from an executed one only in eager limit, and whose limit
+    answers every recorded choice the same way, has that outcome bit for
+    bit.  ``auto`` outcomes carry no choices and are never indexed.
+    Holds at most :data:`CHOICE_INDEX_CAP` outcomes (read at
+    construction) and drops the oldest first, which only loses sharing.
+    """
+
+    def __init__(self) -> None:
+        self.cap = CHOICE_INDEX_CAP
+        self._by_base: dict[str, list[CellOutcome]] = {}
+        self._order: deque[str] = deque()
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def add(self, spec: CellSpec, outcome: CellOutcome) -> None:
+        """Index a freshly executed ``outcome`` of ``spec``; one whose
+        choices an indexed outcome already made adds nothing."""
+        choices = outcome.eager_choices
+        if choices is None:
+            return
+        base = spec.base_digest
+        entries = self._by_base.setdefault(base, [])
+        if any(known.eager_choices == choices for known in entries):
+            return
+        entries.append(outcome)
+        self._order.append(base)
+        if len(self._order) > self.cap:
+            oldest = self._order.popleft()
+            entries = self._by_base[oldest]
+            del entries[0]
+            if not entries:
+                del self._by_base[oldest]
+
+    def lookup(self, spec: CellSpec) -> CellOutcome | None:
+        """The first indexed outcome under ``spec``'s base digest whose
+        every choice ``spec``'s tuning makes alike, else ``None``."""
+        uses_eager = spec.platform.tuning.uses_eager
+        for outcome in self._by_base.get(spec.base_digest, ()):
+            if all(
+                uses_eager(nbytes, packed=packed, derived=derived) == eager
+                for (nbytes, packed, derived), eager in outcome.eager_choices.items()
+            ):
+                return outcome
+        return None
 
 
 class SweepService:
@@ -57,8 +116,9 @@ class SweepService:
         daemon reads and writes the generation of its own
         ``MODEL_VERSION`` there.
     cache:
-        ``False`` disables the store entirely: every cell is executed
-        (in-flight dedup still collapses concurrent duplicates).
+        ``False`` disables the store, and with it the choice index:
+        every cell is executed (in-flight dedup still collapses
+        concurrent duplicates).
     jobs:
         Worker processes: one pool for the daemon's lifetime, shared by
         every job.
@@ -99,6 +159,9 @@ class SweepService:
             if cache
             else None
         )
+        #: Cells this daemon executed, by base digest (``None`` without
+        #: a store): what ``equivalent`` cells are served from.
+        self.choices = ChoiceIndex() if cache else None
         self._jobs = jobs
         self._pool = WorkerPool(jobs) if jobs > 1 else None
         self._executor_factory = executor_factory
@@ -193,8 +256,9 @@ class SweepService:
         owned: list[CellSpec],
         joins: dict[str, asyncio.Future],
     ) -> None:
-        """Partition the grid: store hits recorded immediately, live
-        flights joined, the rest claimed for execution."""
+        """Partition the grid: store hits and equivalent cells recorded
+        immediately, live flights joined, the rest claimed for
+        execution."""
         store = self.store
         for digest, spec in unique.items():
             existing = self.inflight.peek(digest)
@@ -204,6 +268,8 @@ class SweepService:
             hit = store.get(spec) if store is not None else None
             if hit is not None:
                 self._record(job, spec, hit, "reused")
+                continue
+            if self._serve_equivalent(job, spec):
                 continue
             is_owner, future = self.inflight.claim(digest, loop)
             if is_owner:
@@ -244,6 +310,8 @@ class SweepService:
         self, job: Job, spec: CellSpec, outcome: CellOutcome, cached: bool
     ) -> None:
         self.inflight.resolve(spec.digest, outcome)
+        if self.choices is not None:
+            self.choices.add(spec, outcome)
         # Truthful accounting: the executor double-checks the store, so
         # a cell another process persisted between classification and
         # execution comes back cached — that is a reuse, not a recompute.
@@ -256,10 +324,13 @@ class SweepService:
         loop: asyncio.AbstractEventLoop,
     ) -> None:
         """Joiner recovery after an owner failure: take the store hit if
-        the owner got that far, else execute the cell ourselves."""
+        the owner got that far, or an equivalent cell, else execute the
+        cell ourselves."""
         hit = self.store.get(spec) if self.store is not None else None
         if hit is not None:
             self._record(job, spec, hit, "reused")
+            return
+        if self._serve_equivalent(job, spec):
             return
         is_owner, future = self.inflight.claim(spec.digest, loop)
         if not is_owner:
@@ -269,6 +340,19 @@ class SweepService:
             self._record(job, spec, outcome, "deduped")
             return
         await self._execute_owned(job, [spec], loop)
+
+    def _serve_equivalent(self, job: Job, spec: CellSpec) -> bool:
+        """Serve ``spec`` from an executed cell its eager limit cannot
+        tell apart, persisted under its own digest; ``False`` when the
+        index holds none."""
+        if self.choices is None:
+            return False
+        outcome = self.choices.lookup(spec)
+        if outcome is None:
+            return False
+        self.store.put(spec, outcome)
+        self._record(job, spec, outcome, "equivalent")
+        return True
 
     def _record(self, job: Job, spec: CellSpec, outcome: CellOutcome, source: str) -> None:
         job.record_cell(encode_cell(spec, outcome, source=source))
@@ -280,13 +364,11 @@ class SweepService:
         return self.store.read_digest(digest) if self.store is not None else None
 
     def stats(self) -> dict[str, Any]:
-        """The ``GET /stats`` body: job counts, dedup tallies, the
+        """The ``GET /stats`` body: job counts, cells per source, the
         store's stats (``None`` without a store), and the raw metrics
         snapshot."""
-        reused = self.metrics.counter_value("serve.cells_reused")
-        recomputed = self.metrics.counter_value("serve.cells_recomputed")
-        deduped = self.metrics.counter_value("serve.cells_deduped")
-        served = reused + recomputed + deduped
+        cells = {s: self.metrics.counter_value(f"serve.cells_{s}") for s in SOURCES}
+        served = sum(cells.values())
         store = None
         if self.store is not None:
             s = self.store.stats()
@@ -302,13 +384,10 @@ class SweepService:
         return {
             "uptime_seconds": perf_counter() - self.started,
             "jobs": self.registry.counts(),
-            "cells": {
-                "served": served,
-                "reused": reused,
-                "recomputed": recomputed,
-                "deduped": deduped,
-            },
-            "dedup_hit_rate": ((reused + deduped) / served) if served else None,
+            "cells": {"served": served, **cells},
+            "dedup_hit_rate": (
+                (served - cells["recomputed"]) / served if served else None
+            ),
             "inflight": len(self.inflight),
             "store": store,
             "metrics": self.metrics.snapshot(),

@@ -55,6 +55,27 @@ class TestInTextExperiments:
         self.check(exp_id, quick=False)
 
 
+@pytest.mark.parametrize("quick", [True, False])
+def test_irregular_verifies_its_quick_payloads_only(quick):
+    """The quick run's 50,000 blocks move and verify real bytes; the
+    full run's 500,000 stay virtual."""
+    from repro.exec import Executor, using_executor
+
+    batches = []
+
+    class Spy(Executor):
+        def run_batch(self, specs, **kwargs):
+            results = super().run_batch(specs, **kwargs)
+            batches.append((list(specs), results))
+            return results
+
+    with using_executor(Spy()):
+        assert run_experiment("irregular", quick=quick).passed
+    [(specs, cells)] = batches
+    assert [spec.materialize for spec in specs] == [quick] * len(specs)
+    assert all(cell.verified for cell in cells)
+
+
 class TestHaloFanOut:
     """The halo experiment's simulations (up to ten: eight when every
     rank's ``auto`` resolves to one delegate, whose runs it reuses) fan

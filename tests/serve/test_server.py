@@ -203,6 +203,24 @@ def test_wait_query_returns_the_finished_job(client):
     assert again["reused"] == 2 and again["recomputed"] == 0
 
 
+def test_an_unflipped_perturbation_is_served_equivalent(client):
+    """ideal's 1000 B limit and a 5000 B one both send 12,288 B by
+    rendezvous: the perturbed grid comes back ``equivalent``, and each
+    of its cells is stored under its own digest."""
+    client.request_json("POST", "/sweep?wait=1", sweep_body(sizes=[12288]))
+    perturbed = client.request_json(
+        "POST",
+        "/sweep?wait=1",
+        sweep_body(platforms=[{"name": "ideal", "eager_limit": 5000}], sizes=[12288]),
+    )
+    assert (perturbed["equivalent"], perturbed["recomputed"]) == (2, 0)
+    for digest, cell in perturbed["cells"].items():
+        assert cell["source"] == "equivalent"
+        stored = client.cell(digest)
+        assert stored["times_hex"] == cell["times_hex"]
+        assert stored["virtual_time_hex"] == cell["virtual_time_hex"]
+
+
 def test_served_sweep_is_bit_identical_to_local(server):
     config = quick_config()
     served = submit_sweep(server.url, "ideal", config)

@@ -16,7 +16,8 @@ import pytest
 
 from repro.exec import Executor, ResultStore, execute_spec
 from repro.machine.fingerprint import MODEL_VERSION
-from repro.serve import PlatformSpec, SweepRequest, SweepService
+from repro.serve import Job, PlatformSpec, SweepRequest, SweepService
+from repro.serve.jobs import SOURCES
 
 
 def make_request(
@@ -133,7 +134,7 @@ def test_finished_cells_are_reused_not_reexecuted(tmp_path):
     assert second.reused == 2 and second.recomputed == 0
     stats = service.stats()
     assert stats["cells"] == {
-        "served": 4, "reused": 2, "recomputed": 2, "deduped": 0,
+        "served": 4, "reused": 2, "recomputed": 2, "deduped": 0, "equivalent": 0,
     }
     assert stats["dedup_hit_rate"] == pytest.approx(0.5)
     assert stats["jobs"]["done"] == 2
@@ -168,6 +169,121 @@ def test_perturbed_fingerprint_reprices_only_invalidated_cells(tmp_path):
     assert (mixed.reused, mixed.recomputed) == (2, 2)
     perturbed = [c for c in mixed.cells.values() if c["source"] == "recomputed"]
     assert len(perturbed) == 2
+
+
+def run_plain_then_perturbed(tmp_path, eager_limit, **grid):
+    """A plain ``ideal`` job, then the same grid at ``eager_limit``."""
+
+    async def run():
+        service = SweepService(store_root=tmp_path)
+        plain = service.submit(make_request(**grid))
+        await plain.finished.wait()
+        perturbed = service.submit(make_request(eager_limit=eager_limit, **grid))
+        await perturbed.finished.wait()
+        return service, plain, perturbed
+
+    return asyncio.run(run())
+
+
+def test_a_perturbation_that_flips_no_choice_executes_nothing(tmp_path):
+    """ideal's 1000 B limit and a 1500 B one both send 2048 and 4096 B
+    by rendezvous, so every perturbed cell is its plain twin's outcome,
+    equal to a fresh execution and persisted under its own digest."""
+    service, plain, perturbed = run_plain_then_perturbed(
+        tmp_path, 1500, sizes=(2048, 4096)
+    )
+    assert plain.tallies() == {"reused": 0, "recomputed": 4, "deduped": 0, "equivalent": 0}
+    assert perturbed.tallies() == {
+        "reused": 0, "recomputed": 0, "deduped": 0, "equivalent": 4,
+    }
+    assert service.metrics.counter_value("serve.cells_executed") == 4
+    stats = service.stats()
+    assert stats["cells"]["served"] == 8 and stats["cells"]["equivalent"] == 4
+    assert stats["dedup_hit_rate"] == pytest.approx(0.5)
+    assert stats["store"]["entries"] == 8
+    specs = list(make_request(sizes=(2048, 4096), eager_limit=1500).iter_specs())
+    assert {spec.digest for spec in specs} == set(perturbed.cells)
+    for spec in specs:
+        fresh = execute_spec(spec)
+        wire = perturbed.cells[spec.digest]
+        assert wire["source"] == "equivalent"
+        assert wire["times_hex"] == [t.hex() for t in fresh.times]
+        assert wire["virtual_time_hex"] == fresh.virtual_time.hex()
+        assert (wire["events"], wire["verified"]) == (fresh.events, fresh.verified)
+        stored = service.read_cell(spec.digest)
+        assert stored["times_hex"] == wire["times_hex"]
+
+
+def test_a_perturbation_that_flips_a_choice_recomputes(tmp_path):
+    """A 3000 B limit sends 2048 B eager where 1000 B sent it by
+    rendezvous: those cells execute, the 4096 B ones stay shared."""
+    _, _, perturbed = run_plain_then_perturbed(tmp_path, 3000, sizes=(2048, 4096))
+    assert (perturbed.recomputed, perturbed.equivalent) == (2, 2)
+    sources = {(c["message_bytes"], c["source"]) for c in perturbed.cells.values()}
+    assert sources == {(2048, "recomputed"), (4096, "equivalent")}
+
+
+def test_auto_cells_are_never_shared(tmp_path):
+    _, plain, perturbed = run_plain_then_perturbed(tmp_path, 1500, schemes=("auto",))
+    assert plain.recomputed == perturbed.recomputed == 1
+    assert perturbed.equivalent == 0
+
+
+def test_a_job_tallies_every_source_and_served_is_their_sum(tmp_path):
+    """One job meets a store hit, a live flight, an equivalent cell and
+    cells of its own; ``/stats`` folds ``equivalent`` into ``served``
+    and the hit rate."""
+    held = threading.Event()
+    gates = [None, held, None]
+
+    async def run():
+        service = SweepService(
+            store_root=tmp_path,
+            executor_factory=lambda store: GatedExecutor(store, gates.pop(0)),
+        )
+        warm = service.submit(make_request(schemes=("copying",)))
+        await warm.finished.wait()
+        flight = service.submit(make_request(sizes=(8192,), schemes=("copying",)))
+        await wait_for(lambda: len(service.inflight) == 1)
+        mixed = service.submit(
+            SweepRequest(
+                platforms=(
+                    PlatformSpec(name="ideal"),
+                    PlatformSpec(name="ideal", eager_limit=1500),
+                    PlatformSpec(name="ideal", eager_limit=3000),
+                ),
+                sizes=(2048, 8192),
+                schemes=("copying",),
+                iterations=2,
+                flush=False,
+            )
+        )
+        await wait_for(lambda: mixed.recomputed == 3)
+        held.set()
+        await asyncio.gather(flight.finished.wait(), mixed.finished.wait())
+        return service, mixed
+
+    service, mixed = asyncio.run(run())
+    assert mixed.status == "done"
+    # 2048 B: plain reused, 1500 B equivalent, 3000 B flips.  8192 B:
+    # plain joins the flight; both perturbed twins execute, as the
+    # flight had not landed when the job classified them.
+    assert mixed.tallies() == {"reused": 1, "recomputed": 3, "deduped": 1, "equivalent": 1}
+    assert sum(mixed.snapshot()[source] for source in SOURCES) == mixed.total == 6
+    assert {k: mixed.events[-1][k] for k in SOURCES} == mixed.tallies()
+    cells = service.stats()["cells"]
+    assert cells == {
+        "served": 8, "reused": 1, "recomputed": 5, "deduped": 1, "equivalent": 1,
+    }
+    assert service.stats()["dedup_hit_rate"] == pytest.approx(3 / 8)
+
+
+def test_a_job_refuses_an_unknown_source():
+    job = Job("job-0001", make_request(), total=2)
+    job.record_cell({"digest": "a", "source": "equivalent"})
+    with pytest.raises(ValueError, match="unknown cell source 'guessed'"):
+        job.record_cell({"digest": "b", "source": "guessed"})
+    assert job.completed == 1 and job.tallies()["equivalent"] == 1
 
 
 def test_stats_report_the_one_store_of_this_model(tmp_path):
@@ -328,7 +444,8 @@ def test_jobs_share_one_worker_pool_joined_on_close(tmp_path):
             return executors[-1]
 
         service._executor = spy
-        for eager in (4096, 8192):
+        # Each limit flips both sizes' choices, so both jobs execute.
+        for eager in (1024, 65536):
             job = service.submit(make_request(sizes=(2048, 65536), eager_limit=eager))
             await job.finished.wait()
             assert (job.status, job.recomputed) == ("done", 4)
