@@ -12,10 +12,10 @@ bit-identical:
   worker placement, chunking, and completion order cannot affect any
   result.  The pool is forked at the first batch that needs it and
   reused by every later batch of the command (or daemon) until
-  :meth:`Executor.close`.  Each chunk carries the batch's shared tables
-  (platform pricing models, timing policies) once, plus slim per-cell
-  payloads (scheme key, layout, table indices), so dispatch cost is
-  amortized over the whole chunk instead of paid per cell;
+  :meth:`Executor.close`.  A chunk is one pickle of plain specs, so
+  pickle's memo sends a platform or policy that the chunk's specs share
+  once, and dispatch cost is amortized over the whole chunk instead of
+  paid per cell;
 * **from cache** — when a :class:`~repro.exec.store.ResultStore` is
   attached, hits skip execution entirely and misses are persisted the
   moment they complete, making interrupted batches resumable.
@@ -40,13 +40,9 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
-from ..core.layout import Layout
 from ..core.pingpong import PingPongResult
-from ..core.timing import TimingPolicy
-from ..machine.platform import Platform
 from ..obs import host as _host
 from .spec import CellOutcome, CellSpec, execute_spec
 from .store import ResultStore
@@ -139,88 +135,20 @@ class WorkerPool:
             pool.shutdown(wait=True)
 
 
-# ----------------------------------------------------------------------
-# Worker-side chunk machinery.
-#
-# Every chunk carries the batch's shared tables (platforms, policies)
-# once and references them by index per cell.  Pickling a Platform
-# (memory/cache/network/CPU models, tuning, noise) per cell is what made
-# ``--jobs 2`` slower than serial; once per chunk is noise.
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _SlimSpec:
-    """A :class:`CellSpec` with its heavy shared fields replaced by
-    indices into the worker tables — the per-cell task payload."""
-
-    scheme: str
-    layout: Layout
-    platform_idx: int
-    policy_idx: int
-    materialize: bool
-    concurrent_streams: int
-
-    def rebuild(
-        self, platforms: Sequence[Platform], policies: Sequence[TimingPolicy]
-    ) -> CellSpec:
-        return CellSpec(
-            scheme=self.scheme,
-            layout=self.layout,
-            platform=platforms[self.platform_idx],
-            policy=policies[self.policy_idx],
-            materialize=self.materialize,
-            concurrent_streams=self.concurrent_streams,
-        )
-
-
-def _slim_specs(
-    specs: Sequence[CellSpec],
-) -> tuple[list[_SlimSpec], tuple[Platform, ...], tuple[TimingPolicy, ...]]:
-    """Split a batch into slim per-cell payloads plus the shared tables
-    (deduplicated by object identity — equal-but-distinct platforms get
-    separate entries, which only costs a few table slots)."""
-    platforms: list[Platform] = []
-    policies: list[TimingPolicy] = []
-    platform_idx: dict[int, int] = {}
-    policy_idx: dict[int, int] = {}
-    slims: list[_SlimSpec] = []
-    for spec in specs:
-        pkey = id(spec.platform)
-        if pkey not in platform_idx:
-            platform_idx[pkey] = len(platforms)
-            platforms.append(spec.platform)
-        tkey = id(spec.policy)
-        if tkey not in policy_idx:
-            policy_idx[tkey] = len(policies)
-            policies.append(spec.policy)
-        slims.append(
-            _SlimSpec(
-                scheme=spec.scheme,
-                layout=spec.layout,
-                platform_idx=platform_idx[pkey],
-                policy_idx=policy_idx[tkey],
-                materialize=spec.materialize,
-                concurrent_streams=spec.concurrent_streams,
-            )
-        )
-    return slims, tuple(platforms), tuple(policies)
-
-
 def _execute_chunk(
-    platforms: Sequence[Platform],
-    policies: Sequence[TimingPolicy],
-    slims: Sequence[_SlimSpec],
+    specs: Sequence[CellSpec],
 ) -> tuple[list[CellOutcome], tuple[int, float, float, int] | None]:
-    """Worker entry point: run one chunk of slim specs against the
-    tables shipped with it; outcomes come back in chunk order, paired
-    with a busy-span report when telemetry is active (workers forked
-    from a telemetry-on parent inherit ``_host.active``; spawned workers
-    re-enable via ``REPRO_HOST_TELEMETRY``)."""
+    """Worker entry point: run one chunk of specs; outcomes come back
+    in chunk order, paired with a busy-span report when telemetry is
+    active (workers forked from a telemetry-on parent inherit
+    ``_host.active``; spawned workers re-enable via
+    ``REPRO_HOST_TELEMETRY``)."""
     telemetry = _host.active
     begin = telemetry.now() if telemetry is not None else 0.0
-    outcomes = [execute_spec(slim.rebuild(platforms, policies)) for slim in slims]
+    outcomes = [execute_spec(spec) for spec in specs]
     if telemetry is None:
         return outcomes, None
-    return outcomes, (os.getpid(), begin, telemetry.now(), len(slims))
+    return outcomes, (os.getpid(), begin, telemetry.now(), len(specs))
 
 
 class Executor:
@@ -233,11 +161,6 @@ class Executor:
     cache:
         Optional on-disk result store.  Hits bypass execution; fresh
         outcomes are persisted per cell as they complete.
-    chunk_size:
-        Cells per worker task in parallel mode.  ``None`` (default)
-        sizes chunks automatically so each worker sees about
-        ``_CHUNK_WAVES`` tasks.  Chunking is invisible in every result
-        (cells are pure), it only moves the dispatch/compute ratio.
     pool:
         Workers shared with other executors (the serve daemon's jobs);
         the sharer closes it.  By default a ``jobs > 1`` executor owns
@@ -250,16 +173,12 @@ class Executor:
         *,
         jobs: int = 1,
         cache: ResultStore | None = None,
-        chunk_size: int | None = None,
         pool: WorkerPool | None = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         self.jobs = jobs
         self.cache = cache
-        self.chunk_size = chunk_size
         self._owns_pool = pool is None and jobs > 1
         self.pool = WorkerPool(jobs) if self._owns_pool else pool
         self.cells_executed = 0
@@ -278,10 +197,6 @@ class Executor:
         self.close()
 
     # ------------------------------------------------------------------
-    def run_cell(self, spec: CellSpec) -> PingPongResult:
-        """Run (or fetch) a single cell."""
-        return self.run_batch([spec])[0]
-
     def run_batch(
         self,
         specs: Sequence[CellSpec],
@@ -364,10 +279,10 @@ class Executor:
         return out  # type: ignore[return-value]  # every slot is filled
 
     def _resolve_chunk_size(self, npending: int) -> int:
-        """Cells per worker task: the explicit setting, or enough per
-        chunk that each worker sees about ``_CHUNK_WAVES`` tasks."""
-        if self.chunk_size is not None:
-            return self.chunk_size
+        """Cells per worker task: enough per chunk that each worker
+        sees about ``_CHUNK_WAVES`` tasks.  Chunking is invisible in
+        every result (cells are pure); it only moves the
+        dispatch/compute ratio."""
         workers = min(self.jobs, npending)
         return max(1, math.ceil(npending / (workers * _CHUNK_WAVES)))
 
@@ -378,18 +293,14 @@ class Executor:
         out: list[tuple[CellOutcome, bool] | None],
         on_outcome: OnOutcome | None,
     ) -> None:
-        slims, platforms, policies = _slim_specs([specs[i] for i in pending])
         size = self._resolve_chunk_size(len(pending))
-        chunks = [
-            (pending[lo : lo + size], slims[lo : lo + size])
-            for lo in range(0, len(pending), size)
-        ]
+        chunks = [pending[lo : lo + size] for lo in range(0, len(pending), size)]
         telemetry = _host.active
         futures: dict[Future, list[int]] = {}
         chunk_ids: dict[Future, int] = {}
         try:
-            for chunk_id, (indices, chunk_slims) in enumerate(chunks):
-                fut = self.pool.submit(_execute_chunk, platforms, policies, chunk_slims)
+            for chunk_id, indices in enumerate(chunks):
+                fut = self.pool.submit(_execute_chunk, [specs[i] for i in indices])
                 futures[fut] = indices
                 chunk_ids[fut] = chunk_id
                 if telemetry is not None:
@@ -461,14 +372,6 @@ class Executor:
             for f in futures:
                 f.cancel()
             raise
-
-    def describe(self) -> str:
-        cache = "off" if self.cache is None else str(self.cache.root)
-        chunk = "auto" if self.chunk_size is None else str(self.chunk_size)
-        return (
-            f"executor: jobs={self.jobs}, chunk={chunk}, cache={cache} "
-            f"({self.cells_executed} executed, {self.cells_cached} cache hits)"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -103,7 +103,18 @@ def _open(path: Path) -> sqlite3.Connection:
         path, timeout=_BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
     )
     try:
-        conn.execute("PRAGMA journal_mode = WAL")
+        # On a brand-new file, another connection's first open can hold
+        # the lock this switch needs, and SQLite then reports "database
+        # is locked" at once instead of waiting out the busy timeout.
+        deadline = time.monotonic() + _BUSY_TIMEOUT_S
+        while True:
+            try:
+                conn.execute("PRAGMA journal_mode = WAL")
+                break
+            except sqlite3.OperationalError as exc:
+                if "locked" not in str(exc) or time.monotonic() >= deadline:
+                    raise
+                time.sleep(0.001)
         # Commits survive a killed process; a power cut may lose the
         # last ones, which are then recomputed.
         conn.execute("PRAGMA synchronous = NORMAL")

@@ -19,8 +19,8 @@ Like the virtual-time flight recorder (PR 1), host telemetry is
 module attribute :data:`active` being non-``None`` before touching the
 clock or building any record — the disabled path is one module-attr
 load and an ``is None`` test, it never calls :func:`_now`.  The
-structural leg of the tracing-overhead gate pins this by counting
-:func:`_now` invocations during an untraced, telemetry-off run.
+tracing-overhead gate pins this by counting :func:`_now` invocations
+during an untraced, telemetry-off run.
 
 Timestamps come from ``time.perf_counter`` (CLOCK_MONOTONIC on Linux),
 which is comparable across forked worker processes on the same boot —

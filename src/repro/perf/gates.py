@@ -17,10 +17,10 @@ to its metrics; :func:`run_gate` turns one spec into a
 
 Options are resolved up front: :func:`resolve_settings` parses a gate's
 repeat count and every overridable threshold, so a malformed value
-fails before any workload starts.  Each spec declares the option keys
-it reads (:attr:`GateSpec.option_keys`), and a workload that reads an
-undeclared key fails, so the CLI can reject a key no selected gate
-reads instead of running with the default.
+fails before any workload starts.  Those are the only option keys a
+gate reads (:attr:`GateSpec.option_keys`), so the CLI can reject a key
+no selected gate reads instead of running with the default.  Workloads
+read no options: their sizes are constants.
 
 Gates self-register into a process-wide registry
 (:func:`register` / :func:`get_gate` / :func:`all_gates`);
@@ -69,38 +69,15 @@ def usable_cpus() -> int:
 
 
 class GateContext:
-    """What a workload's callables receive: resolved options, host
-    facts, and a scratch dict that survives from ``setup`` through
-    every ``measure`` call to ``teardown`` (the tracing gate's worktree,
-    one-time golden results, ...)."""
+    """What a gate's ``measure`` and skip predicates receive: host
+    facts, the checkout this package lives in (the golden files), and a
+    scratch dict that survives from one ``measure`` call to the next
+    (one-time golden results, ...)."""
 
-    def __init__(
-        self,
-        options: dict[str, Any] | None = None,
-        declared: frozenset[str] | None = None,
-    ):
-        self.options: dict[str, Any] = dict(options or {})
-        #: The option keys the gate declares (``None`` accepts any).
-        self.declared = declared
+    def __init__(self) -> None:
         self.cpus = usable_cpus()
-        self.repo = _find_repo()
+        self.repo = Path(__file__).resolve().parents[3]
         self.scratch: dict[str, Any] = {}
-
-    # ------------------------------------------------------------------
-    def opt_float(self, key: str, default: float) -> float:
-        return _option(self.options, self._declared_key(key), default, float)
-
-    def opt_int(self, key: str, default: int | None) -> int | None:
-        return _option(self.options, self._declared_key(key), default, int)
-
-    def opt_str(self, key: str, default: str | None) -> str | None:
-        value = self.options.get(self._declared_key(key), default)
-        return None if value is None else str(value)
-
-    def _declared_key(self, key: str) -> str:
-        if self.declared is not None and key not in self.declared:
-            raise LookupError(f"option {key} is read but not declared by the gate")
-        return key
 
 
 def _option(options: dict[str, Any], key: str, default: Any, kind: type) -> Any:
@@ -115,16 +92,6 @@ def _option(options: dict[str, Any], key: str, default: Any, kind: type) -> Any:
     except (TypeError, ValueError):
         noun = "an integer" if kind is int else "a number"
         raise ValueError(f"option {key} expects {noun}, got {value!r}") from None
-
-
-def _find_repo() -> Path:
-    """The repo root (directory holding ``src/repro``): the golden
-    files, and the tracing gate's ``git worktree`` of a base revision."""
-    here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / ".git").exists() and (parent / "src" / "repro").is_dir():
-            return parent
-    return Path.cwd()
 
 
 @dataclass(frozen=True)
@@ -182,20 +149,13 @@ class GateSpec:
     measure: Callable[[GateContext], dict[str, float]]
     checks: tuple[GateCheck, ...]
     default_repeats: int = 1
-    #: Workload option keys the gate reads, beyond ``<ns>.repeats`` and
-    #: the checks' threshold options (see :attr:`option_keys`).
-    options: tuple[str, ...] = ()
-    #: One-time expensive work (a git worktree, a structural check);
-    #: stash results in ``ctx.scratch``.
-    setup: Callable[[GateContext], None] | None = None
-    teardown: Callable[[GateContext], None] | None = None
 
     @property
     def option_keys(self) -> frozenset[str]:
-        """Every option key the gate reads: ``<ns>.repeats``, each
-        check's threshold option, and the declared workload options."""
+        """Every option key the gate reads: ``<ns>.repeats`` and each
+        check's threshold option."""
         thresholds = {c.threshold_option for c in self.checks if c.threshold_option}
-        return frozenset({f"{self.ns}.repeats", *thresholds, *self.options})
+        return frozenset({f"{self.ns}.repeats", *thresholds})
 
 
 @dataclass
@@ -296,7 +256,7 @@ def run_gate(
     *,
     capture_host: bool = True,
 ) -> tuple[GateResult, "_host.HostTelemetry | None"]:
-    """Run one gate: setup, repeat-and-take-median measurement, checks.
+    """Run one gate: repeat-and-take-median measurement, then checks.
 
     Returns the result plus the gate's host-telemetry capture (for
     Chrome-trace export; ``None`` when ``capture_host`` is off).
@@ -306,7 +266,7 @@ def run_gate(
     :func:`resolve_settings`) before the workload starts.
     """
     repeats, thresholds = resolve_settings(spec, options)
-    ctx = GateContext(options, spec.option_keys)
+    ctx = GateContext()
     telemetry: _host.HostTelemetry | None = None
     samples: list[dict[str, float]] = []
     error: str | None = None
@@ -398,11 +358,5 @@ def _run_workload(
     repeats: int,
     samples: list[dict[str, float]],
 ) -> None:
-    if spec.setup is not None:
-        spec.setup(ctx)
-    try:
-        for _ in range(repeats):
-            samples.append(dict(spec.measure(ctx)))
-    finally:
-        if spec.teardown is not None:
-            spec.teardown(ctx)
+    for _ in range(repeats):
+        samples.append(dict(spec.measure(ctx)))

@@ -145,12 +145,12 @@ class TestCacheSemantics:
         spec = specs[0]
         monkeypatch.setattr("repro.exec.store.MODEL_VERSION", "v1")
         old = Executor(jobs=1, cache=ResultStore(tmp_path))
-        old.run_cell(spec)
+        old.run_batch([spec])
         assert old.cells_executed == 1
         # Same store root, bumped model salt: the hit disappears.
         monkeypatch.setattr("repro.exec.store.MODEL_VERSION", "v2")
         new = Executor(jobs=1, cache=ResultStore(tmp_path))
-        new.run_cell(spec)
+        new.run_batch([spec])
         assert new.cells_executed == 1 and new.cells_cached == 0
 
     def test_cache_disabled_always_executes(self, ideal):
@@ -309,8 +309,8 @@ class TestWorkerPool:
 
 class TestChunkedDispatch:
     """Chunking is a dispatch-cost knob, never a semantic one: results,
-    cache contents, and metrics cannot depend on the chunk size, and the
-    heavy shared tables ship once per chunk, not once per cell."""
+    cache contents, and metrics cannot depend on the chunk size, and a
+    platform the specs of a chunk share is pickled once, not per cell."""
 
     def test_auto_chunk_sizing_targets_waves_per_worker(self):
         # 16 cells over 2 workers x 4 waves -> 2 cells per chunk.
@@ -318,38 +318,21 @@ class TestChunkedDispatch:
         assert Executor(jobs=4)._resolve_chunk_size(100) == 7
         # Tiny batches degenerate to one cell per task, never zero.
         assert Executor(jobs=8)._resolve_chunk_size(4) == 1
-        # An explicit size wins outright.
-        assert Executor(jobs=2, chunk_size=5)._resolve_chunk_size(100) == 5
 
-    def test_chunk_size_validation(self):
-        with pytest.raises(ValueError):
-            Executor(chunk_size=0)
-        with pytest.raises(ValueError):
-            Executor(chunk_size=-3)
+    @pytest.mark.parametrize("ncells", [1, 3, 64])
+    def test_chunk_size_invisible_in_results(self, ncells):
+        """Two workers size chunks from the batch: one cell stays in
+        process, 3 cells go one per chunk, 64 go eight per chunk."""
+        keys, specs = golden_batch()
+        cells = Executor(jobs=2).run_batch(specs[:ncells])
+        assert_matches_goldens(keys[:ncells], cells)
 
-    def test_describe_mentions_chunk(self):
-        assert "chunk=auto" in Executor(jobs=2).describe()
-        assert "chunk=7" in Executor(jobs=2, chunk_size=7).describe()
-
-    @pytest.mark.parametrize("chunk_size", [1, 3, 64])
-    def test_chunk_size_invisible_in_results(self, chunk_size):
-        _, specs = golden_batch()
-        sample = specs[:6]
-        serial = Executor(jobs=1).run_batch(sample)
-        chunked = Executor(jobs=2, chunk_size=chunk_size).run_batch(sample)
-        for a, b in zip(serial, chunked):
-            assert a.time.hex() == b.time.hex()
-            assert a.virtual_time.hex() == b.virtual_time.hex()
-            assert a.events == b.events
-
-    def test_slim_payload_ships_tables_not_platforms(self):
-        """The per-cell payload carries table indices; the platform (the
-        pickling cost that made --jobs lose to serial) appears only in
-        the tables each chunk carries once."""
+    def test_a_chunk_pickles_a_shared_platform_once(self):
+        """A chunk is one pickle of plain specs, so pickle's memo sends
+        the platform they share (the cost that once made --jobs lose to
+        serial) once: eight specs pickle to less than two."""
         import pickle
 
-        from repro.core import PAPER_ORDER, StridedLayout
-        from repro.exec.executor import _slim_specs
         from repro.machine import get_platform
 
         platform = get_platform("skx-impi")
@@ -359,30 +342,13 @@ class TestChunkedDispatch:
                      policy=GOLDEN_POLICY, materialize=False)
             for s in PAPER_ORDER
         ]
-        slims, platforms, policies = _slim_specs(specs)
-        # One shared platform object -> one table entry, every slim
-        # spec pointing at it.
-        assert len(platforms) == 1 and len(policies) == 1
-        assert {s.platform_idx for s in slims} == {0}
-        assert {s.policy_idx for s in slims} == {0}
-        # The chunk payload contains no platform pickle at all...
-        blob = pickle.dumps(slims)
-        assert b"repro.machine" not in blob
-        # ...and each *task* is dramatically lighter than the old
-        # one-full-spec-per-task payload (pickle memoizes shared objects
-        # inside one dumps, but every submitted task pickles alone, so
-        # the per-task comparison is the one that models dispatch cost).
-        per_task_full = len(pickle.dumps(specs[0]))
-        per_task_slim = len(pickle.dumps(slims[0]))
-        assert per_task_slim * 4 < per_task_full
-        # Rebuilding against the tables reproduces the exact specs.
-        rebuilt = [s.rebuild(platforms, policies) for s in slims]
-        assert [r.digest for r in rebuilt] == [s.digest for s in specs]
+        assert len(specs) == 8
+        assert len(pickle.dumps(specs)) < 2 * len(pickle.dumps(specs[0]))
 
     def test_one_pool_serves_every_batch(self, tmp_path, monkeypatch):
         """Two batches of one executor share its pool: at most ``jobs``
-        worker processes ever run a chunk, every chunk carries the
-        shared tables, and close() joins the workers."""
+        worker processes ever run a chunk, and close() joins the
+        workers."""
         import functools
         import multiprocessing
 
@@ -396,12 +362,12 @@ class TestChunkedDispatch:
         )
         before = set(multiprocessing.active_children())
         _, specs = golden_batch()
-        with Executor(jobs=2, chunk_size=1) as ex:
+        with Executor(jobs=2) as ex:
             ex.run_batch(specs[:3])
             ex.run_batch(specs[3:6])
         markers = list(tmp_path.glob("chunk.*"))
         assert ex.cells_executed == 6
-        assert len(markers) == 6  # one chunk per cell, each with its tables
+        assert len(markers) == 6  # 3-cell batches on 2 workers: a cell per chunk
         assert 1 <= len({m.name.split(".")[1] for m in markers}) <= 2
         assert set(multiprocessing.active_children()) <= before
 
@@ -420,26 +386,20 @@ class TestAmbientExecutor:
             assert current_executor() is outer
         assert current_executor().jobs == 1
 
-    def test_describe_mentions_jobs_and_cache(self, tmp_path):
-        ex = Executor(jobs=4, cache=ResultStore(tmp_path))
-        assert "jobs=4" in ex.describe() and str(tmp_path) in ex.describe()
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Executor(jobs=0)
 
 
-def _marking_chunk(marker_dir: str, platforms, policies, slims):
+def _marking_chunk(marker_dir: str, specs):
     """Module-level (picklable) wrapper around the real chunk entry
     point that leaves one marker file per chunk, named by worker pid."""
     import os
     import uuid
 
-    from repro.machine.platform import Platform
-
-    assert platforms and all(isinstance(p, Platform) for p in platforms)
+    assert specs and all(isinstance(spec, CellSpec) for spec in specs)
     Path(marker_dir, f"chunk.{os.getpid()}.{uuid.uuid4().hex}").write_text("")
-    return _real_execute_chunk(platforms, policies, slims)
+    return _real_execute_chunk(specs)
 
 
 def _scheme_time(scheme: str, nbytes: int) -> float:

@@ -358,6 +358,40 @@ def test_a_failed_put_raises_store_error_and_leaves_no_temp_file(tmp_path, ideal
     assert store.stats().entries == 1
 
 
+class LockedOnce:
+    """A connection whose first switch to WAL finds the database locked,
+    as a concurrent first open of a fresh store can; everything else
+    passes through."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self._refused = False
+
+    def execute(self, statement, *args):
+        if statement == "PRAGMA journal_mode = WAL" and not self._refused:
+            self._refused = True
+            raise sqlite3.OperationalError("database is locked")
+        return self._conn.execute(statement, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def test_a_locked_switch_to_wal_is_retried(tmp_path, ideal, monkeypatch):
+    """SQLite reports a locked WAL switch at once, without waiting out
+    the busy timeout; the open retries it, so the put lands."""
+    spec = small_spec(ideal)
+    real_connect = sqlite3.connect
+    monkeypatch.setattr(
+        sqlite3, "connect", lambda *args, **kwargs: LockedOnce(real_connect(*args, **kwargs))
+    )
+    store = ResultStore(tmp_path)
+    store.put(spec, execute_spec(spec))
+    monkeypatch.undo()
+    assert store.get(spec) is not None
+    assert store.stats().entries == 1
+
+
 def test_a_garbage_database_misses_and_refuses_puts(tmp_path, ideal):
     """A ``cells.sqlite`` overwritten with garbage: every read is a miss
     and a put raises the one typed error."""

@@ -88,6 +88,28 @@ def test_put_lands_in_the_generation_database(tmp_path):
 # ----------------------------------------------------------------------
 # Atomicity under thread contention
 # ----------------------------------------------------------------------
+def run_threads(target, args) -> None:
+    """Run ``target(arg)`` in one thread per ``arg``, and fail on the
+    first exception any of them raised (a thread that dies of one
+    would otherwise only print a warning)."""
+    errors: list[Exception] = []
+
+    def guarded(arg) -> None:
+        try:
+            target(arg)
+        except Exception as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(arg,)) for arg in args]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    if errors:
+        raise errors[0]
+
+
 def test_contended_puts_of_one_digest_stay_atomic(tmp_path):
     spec = spec_of(2048)
     outcome = outcome_of(2048)
@@ -95,16 +117,12 @@ def test_contended_puts_of_one_digest_stay_atomic(tmp_path):
     barrier = threading.Barrier(len(stores))
 
     def hammer(store: ResultStore) -> None:
-        barrier.wait()
+        barrier.wait(timeout=30)
         for _ in range(10):
             store.put(spec, outcome)
             assert store.get(spec) is not None
 
-    threads = [threading.Thread(target=hammer, args=(s,)) for s in stores]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(hammer, stores)
     # The entry is whole (never a torn mix of two writers) ...
     data = stores[0].read_digest(spec.digest)
     assert data["times_hex"] == [t.hex() for t in outcome.times]
@@ -117,15 +135,11 @@ def test_contended_puts_of_distinct_digests_all_land(tmp_path):
 
     def put(size: int) -> None:
         store = ResultStore(tmp_path)
-        barrier.wait()
+        barrier.wait(timeout=30)
         store.put(spec_of(size), outcome_of(size))
         store.flush_counters()
 
-    threads = [threading.Thread(target=put, args=(size,)) for size in SIZES]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    run_threads(put, SIZES)
     merged = ResultStore(tmp_path)
     assert merged.stats().entries == len(SIZES)
     # Flushes are atomic increments: racing flushers lose nothing.

@@ -523,6 +523,9 @@ def test_perf_option_parsing_rejects_malformed(capsys):
     ["--all", "--option", "=5"],
     # A key no selected gate reads would leave its default in force.
     ["--gate", "kernel-speedup", "--option", "kernels.min_gather_sped=5"],
+    # No gate compares revisions or times the untraced path any more.
+    ["--gate", "tracing-overhead", "--option", "tracing.base=HEAD"],
+    ["--gate", "tracing-overhead", "--option", "tracing.threshold=0.1"],
 ])
 def test_perf_gate_bad_option_is_a_usage_error(argv, monkeypatch, capsys):
     """One ``error:`` line and exit 2, before any workload starts."""

@@ -134,7 +134,7 @@ class TestAmbientCapture:
 
 
 class TestZeroCostWhenOff:
-    """The structural half of the tracing-overhead gate, in-process:
+    """The tracing-overhead gate's structural check, in-process:
     with telemetry off, instrumented code must never touch the clock."""
 
     def _run_instrumented_workload(self, tmp_path, ideal):

@@ -4,7 +4,6 @@ capture scoped to each run."""
 
 from __future__ import annotations
 
-import dataclasses
 import re
 
 import pytest
@@ -21,7 +20,7 @@ from repro.perf import (
 )
 
 
-def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None):
+def spec_of(measure, checks, *, repeats=1):
     return GateSpec(
         name="synthetic",
         title="a synthetic gate",
@@ -29,8 +28,6 @@ def spec_of(measure, checks, *, repeats=1, setup=None, teardown=None):
         measure=measure,
         checks=tuple(checks),
         default_repeats=repeats,
-        setup=setup,
-        teardown=teardown,
     )
 
 
@@ -92,11 +89,7 @@ class TestEngine:
     )
     def test_malformed_option_fails_before_the_workload(self, options, message):
         trail = []
-        spec = spec_of(
-            lambda ctx: trail.append("measure") or {"speed": 9.0},
-            [check()],
-            setup=lambda ctx: trail.append("setup"),
-        )
+        spec = spec_of(lambda ctx: trail.append("measure") or {"speed": 9.0}, [check()])
         with pytest.raises(ValueError, match=re.escape(message)):
             run_gate(spec, options)
         assert trail == []
@@ -142,10 +135,10 @@ class TestEngine:
 
     def test_workload_error_becomes_failing_result(self):
         def measure(ctx):
-            raise RuntimeError("worktree vanished")
+            raise RuntimeError("golden file vanished")
 
         result, _ = run_gate(spec_of(measure, [check()]))
-        assert result.error == "RuntimeError: worktree vanished"
+        assert result.error == "RuntimeError: golden file vanished"
         assert not result.passed
         assert result.checks[0].skipped
         assert result.checks[0].reason == "workload errored"
@@ -157,35 +150,20 @@ class TestEngine:
         assert result.checks[0].reason == "metric 'speed' was never measured"
 
     def test_setup_scratch_teardown_order(self):
+        """``ctx.scratch`` survives from one repeat to the next, so
+        one-time work (the golden passes) runs once per gate run."""
         trail = []
 
-        def setup(ctx):
-            ctx.scratch["golden"] = 42
-            trail.append("setup")
-
         def measure(ctx):
+            if "golden" not in ctx.scratch:
+                trail.append("golden")
+                ctx.scratch["golden"] = 42
             trail.append("measure")
             return {"speed": float(ctx.scratch["golden"])}
 
-        def teardown(ctx):
-            trail.append("teardown")
-
-        result, _ = run_gate(
-            spec_of(measure, [check()], repeats=2, setup=setup, teardown=teardown)
-        )
-        assert trail == ["setup", "measure", "measure", "teardown"]
+        result, _ = run_gate(spec_of(measure, [check()], repeats=3))
+        assert trail == ["golden", "measure", "measure", "measure"]
         assert result.metrics["speed"] == 42.0
-
-    def test_teardown_runs_after_measure_error(self):
-        trail = []
-
-        def measure(ctx):
-            raise ValueError("boom")
-
-        result, _ = run_gate(
-            spec_of(measure, [check()], teardown=lambda ctx: trail.append("td"))
-        )
-        assert trail == ["td"] and result.error is not None
 
     def test_telemetry_snapshot_embedded_and_scoped(self):
         assert host_mod.active is None
@@ -218,35 +196,10 @@ class TestEngine:
 
 
 class TestContext:
-    def test_option_coercion(self):
-        ctx = GateContext({"a.x": "2.5", "a.n": "7", "a.none": "", "a.s": 3})
-        assert ctx.opt_float("a.x", 0.0) == 2.5
-        assert ctx.opt_int("a.n", None) == 7
-        assert ctx.opt_int("a.none", 5) is None  # empty string -> None
-        assert ctx.opt_int("a.missing", None) is None
-        assert ctx.opt_str("a.s", None) == "3"
-
-    def test_reading_an_undeclared_option_fails_the_gate(self):
-        def measure(ctx):
-            return {"speed": ctx.opt_float("syn.declared", 1.0) * 3.0
-                    + ctx.opt_float("syn.undeclared", 0.0)}
-
-        spec = dataclasses.replace(
-            spec_of(measure, [check()]), options=("syn.declared",)
-        )
-        assert spec.option_keys == {"syn.repeats", "syn.min_speed", "syn.declared"}
-        result, _ = run_gate(spec)
-        assert not result.passed
-        assert result.error == (
-            "LookupError: option syn.undeclared is read but not declared by the gate"
-        )
-        ok, _ = run_gate(dataclasses.replace(spec, measure=lambda ctx: {
-            "speed": ctx.opt_float("syn.declared", 1.0)}), {"syn.declared": "4"})
-        assert ok.passed and ok.metrics["speed"] == 4.0
-
     def test_repo_discovery(self):
+        """The package's own checkout, found without git."""
         ctx = GateContext()
-        assert (ctx.repo / "src" / "repro").is_dir()
+        assert (ctx.repo / "tests/core/golden_scheme_times.json").exists()
 
 
 class TestBuiltinRegistry:
@@ -263,10 +216,10 @@ class TestBuiltinRegistry:
         assert [s.name for s in all_gates()] == gate_names()
 
     def test_options_are_repeats_floors_and_the_tracing_base(self):
-        """Workload sizes are constants: a gate reads ``<ns>.repeats``,
-        its speed and latency floors, and (tracing only) a base rev."""
+        """Workload sizes are constants and no gate compares revisions:
+        a gate reads ``<ns>.repeats`` and its speed and latency floors."""
         keys = frozenset().union(*(spec.option_keys for spec in all_gates()))
-        assert len(keys) == 17
+        assert len(keys) == 15
         assert {key for key in keys if not key.endswith(".repeats")} == {
             "contention.max_overhead",
             "exec.min_cache_speedup",
@@ -276,9 +229,8 @@ class TestBuiltinRegistry:
             "serve.max_p99_seconds",
             "serve.min_dedup_rate",
             "shm.max_overhead",
-            "tracing.base",
-            "tracing.threshold",
         }
+        assert {key for key in keys if key.startswith("tracing.")} == {"tracing.repeats"}
 
     def test_get_gate_unknown_lists_available(self):
         with pytest.raises(LookupError, match="kernel-speedup"):

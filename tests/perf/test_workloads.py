@@ -1,5 +1,5 @@
-"""Tests of the built-in gate specs: the structural leg of the
-tracing-overhead gate (the zero-cost-when-off contract), what the
+"""Tests of the built-in gate specs: the tracing-overhead gate's
+structural check (the zero-cost-when-off contract), what the
 plan-speedup gate's two halves measure, and the exec-speedup gate's
 single-CPU skip."""
 
@@ -23,9 +23,12 @@ REPO = Path(__file__).resolve().parents[2]
 
 class TestStructuralCheck:
     def test_guards_both_recorder_and_host_telemetry(self):
-        """The snippet must keep all three structural assertions: no
-        wait edges from the virtual-time recorder, telemetry stays off,
-        and zero reads of the host clock funnel."""
+        """The snippet must keep every structural assertion: no span
+        opened on the null recorder, no wait edges from the virtual-time
+        recorder, telemetry stays off, and zero reads of the host clock
+        funnel."""
+        assert "NULL_RECORDER.begin_calls == begin_calls" in STRUCTURAL_CHECK
+        assert "tracer.wait_edges() == []" in STRUCTURAL_CHECK
         assert "host_mod.active is None" in STRUCTURAL_CHECK
         assert "host_mod._now" in STRUCTURAL_CHECK
         assert "clock_calls[0] == 0" in STRUCTURAL_CHECK
@@ -40,6 +43,33 @@ class TestStructuralCheck:
             text=True,
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_the_gate_runs_it_once_and_no_git(self, monkeypatch):
+        """The registered gate checks this tree alone: one subprocess,
+        the structural check, and no git command; its one metric is
+        ``structural_ok``."""
+        commands = []
+        real_run = subprocess.run
+
+        def recording_run(cmd, *args, **kwargs):
+            commands.append(list(cmd))
+            return real_run(cmd, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", recording_run)
+        result, _ = run_gate(get_gate("tracing-overhead"), capture_host=False)
+        assert commands == [[sys.executable, "-c", STRUCTURAL_CHECK]]
+        assert result.passed and result.error is None
+        assert result.metrics == {"structural_ok": 1.0}
+        assert [check.name for check in result.checks] == ["structural"]
+
+    def test_a_failed_assertion_fails_the_gate_with_its_message(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.perf.workloads.STRUCTURAL_CHECK",
+            'assert False, "untraced run opened spans"',
+        )
+        result, _ = run_gate(get_gate("tracing-overhead"), capture_host=False)
+        assert not result.passed
+        assert result.error == "RuntimeError: AssertionError: untraced run opened spans"
 
 
 class TestPlanSpeedupGate:
